@@ -9,8 +9,8 @@ Hamiltonians, isomonodromic (Lax/Schlesinger) truncations, and
 finite-temperature kernels.
 """
 
-from .errors import (NoConvergence, NonConvergent, PsiTooSmall,
-                     SingularOperator, TailNotResolved, WeightVanishes)
+from .errors import (NonConvergent, PsiTooSmall, SingularOperator,
+                     TailNotResolved, WeightVanishes)
 from .wavefun import (WaveModel, airy_model, damped_airy_model,
                       tabulated_model, zero_model, psi_second,
                       check_regularity)
@@ -18,7 +18,7 @@ from .kernel import (cd_kernel, kernel_diag, kernel_direct,
                      kernel_derivative_residual, kernel_matrix)
 from .fredholm import (GridConfig, IntervalUnion, build_grid, discretize,
                        discretize_matrix, fredholm_det, fredholm_series,
-                       gap_probability, half_line, resolve)
+                       gap_probability, half_line, nystrom, resolve)
 from .awf import (AwfTable, IDENTITIES, build_awf, identity_residual,
                   qn_ode_residual, resolvent_endpoint, resolvent_kernel)
 from .hamiltonian import (ROUTES, hamiltonian, hamiltonian_scaling_residual,

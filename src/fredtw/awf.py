@@ -10,7 +10,6 @@ numerical residual; derivatives in tau are centered differences over
 re-built tables except where an identity itself supplies the derivative.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -225,14 +224,15 @@ IDENTITIES = ("CLOSURE", "ORDER", "AWF-DERIV", "AWF-PARAM", "MU01",
               "MU00-DOT", "MUN0-DOT", "MU-SHIFT", "MU-IPRO", "QN-ODE")
 
 
-def _rebuild(model, tau, ref_table, cfg=None):
-    """Private table at a shifted endpoint, matching the reference
-    table's truncation length so FD differences see no tail noise."""
+def _rebuild(model, iu, ref_table, cfg=None):
+    """Private table on the union iu (the reference union with one
+    endpoint moved), at the reference table's truncation length so FD
+    differences see no tail noise."""
     cfg = cfg or GridConfig()
     L = ref_table.grid.truncation
     if L is not None:
         cfg = replace(cfg, L_start=L)
-    grid = build_grid(half_line(tau), cfg)
+    grid = build_grid(iu, cfg)
     return build_awf(model, discretize(model, grid), ref_table.N)
 
 
@@ -256,8 +256,8 @@ def qn_ode_residual(model, table, tau, n=1, h=FD_STEP, cfg=None):
     if n + 2 > table.N:
         raise ValueError("need table.N >= n + 2")
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    tp = _rebuild(model, tau + h, table, cfg)
-    tm = _rebuild(model, tau - h, table, cfg)
+    tp = _rebuild(model, half_line(tau + h), table, cfg)
+    tm = _rebuild(model, half_line(tau - h), table, cfg)
     chi_pp = (tp.eval_chi(n, 0, tau + h) - 2.0 * table.eval_chi(n, 0, tau)
               + tm.eval_chi(n, 0, tau - h)) / h ** 2
 
@@ -323,8 +323,8 @@ def identity_residual(name, model, table, tau, n=None, p=None,
     if name == "AWF-PARAM":
         nn = (table.N - 1) if n is None else n
         xi = tau + 1.0
-        tp = _rebuild(m, tau + h, table, cfg)
-        tm = _rebuild(m, tau - h, table, cfg)
+        tp = _rebuild(m, half_line(tau + h), table, cfg)
+        tm = _rebuild(m, half_line(tau - h), table, cfg)
         fd = (tp.eval_chi(nn, 0, xi) - tm.eval_chi(nn, 0, xi)) / (2.0 * h)
         return fd - table.dchi_dj(nn, 0, xi, 0)
 
@@ -335,15 +335,15 @@ def identity_residual(name, model, table, tau, n=None, p=None,
         return table.mu[0, 1] - rhs
 
     if name == "MU00-DOT":
-        tp = _rebuild(m, tau + h, table, cfg)
-        tm = _rebuild(m, tau - h, table, cfg)
+        tp = _rebuild(m, half_line(tau + h), table, cfg)
+        tm = _rebuild(m, half_line(tau - h), table, cfg)
         fd = (tp.mu[0, 0] - tm.mu[0, 0]) / (2.0 * h)
         return fd + table.eval_chi(0, 0, tau) ** 2
 
     if name == "MUN0-DOT":
         nn = (table.N - 1) if n is None else n
-        tp = _rebuild(m, tau + h, table, cfg)
-        tm = _rebuild(m, tau - h, table, cfg)
+        tp = _rebuild(m, half_line(tau + h), table, cfg)
+        tm = _rebuild(m, half_line(tau - h), table, cfg)
         fd = (tp.mu[nn, 0] - tm.mu[nn, 0]) / (2.0 * h)
         q = table.eval_chi(0, 0, tau)
         return fd + (nn + 1) * table.eta(nn, tau) * q * q

@@ -4,24 +4,23 @@ deterministic CSV/JSON emission with 17 significant digits, and the
 one-shot identity verification suite.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 at least one
-asserted residual out of tolerance.
+asserted residual out of tolerance or a failed computation (no
+convergence, a singular or non-positive determinant).
 """
 
 import argparse
 import configparser
 import json
 import math
-import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .awf import IDENTITIES, build_awf, identity_residual
-from .errors import NoConvergence, NonConvergent, PsiTooSmall, \
-    SingularOperator, TailNotResolved, WeightVanishes
-from .fredholm import GridConfig, IntervalUnion, build_grid, discretize, \
-    gap_probability, half_line
+from .errors import NonConvergent, PsiTooSmall, SingularOperator, \
+    TailNotResolved, WeightVanishes
+from .fredholm import GridConfig, IntervalUnion, gap_probability, \
+    half_line, nystrom
 from .hamiltonian import ROUTES, hamiltonian
 from .kernel import cd_kernel, kernel_direct
 from .kpz import FiniteTempSpec, kpz_gap
@@ -50,13 +49,6 @@ _IDENTITY_TOL = {
 
 def _fmt(x):
     return "%.17g" % float(x)
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("FREDTW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_range(text):
@@ -122,7 +114,7 @@ def _write_json(out_path, report):
 
 
 def _meta(args, cfg):
-    meta = {"model": getattr(args, "model", "-"), "threads": _threads()}
+    meta = {"model": getattr(args, "model", "-")}
     for k in ("nodes_per_panel", "tail_tol", "L_max", "L_start",
               "det_stab_tol", "max_panel_len"):
         meta[k] = getattr(cfg, k)
@@ -195,8 +187,8 @@ def _cmd_tw_solve(args, gcfg, scfg, seed):
 
 def _cmd_hamiltonian(args, gcfg, scfg, seed):
     model = _MODELS[args.model]()
-    grid = build_grid(half_line(args.tau), gcfg, model=model)
-    table = build_awf(model, discretize(model, grid), max(args.n + 2, 3))
+    table = build_awf(model, nystrom(half_line(args.tau), gcfg, model),
+                      max(args.n + 2, 3))
     routes = args.routes.split(",") if args.routes else list(ROUTES)
     rows = []
     for r in routes:
@@ -250,8 +242,8 @@ def _cmd_lax(args, gcfg, scfg, seed):
 
 def _cmd_verify(args, gcfg, scfg, seed):
     model = _MODELS[args.model]()
-    grid = build_grid(half_line(args.tau), gcfg, model=model)
-    table = build_awf(model, discretize(model, grid), args.N)
+    table = build_awf(model, nystrom(half_line(args.tau), gcfg, model),
+                      args.N)
     checks = []
     for name in IDENTITIES:
         r = identity_residual(name, model, table, args.tau, cfg=gcfg)
@@ -357,8 +349,8 @@ def run(argv):
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (NonConvergent, NoConvergence, TailNotResolved, PsiTooSmall,
-            SingularOperator, WeightVanishes) as e:
+    except (NonConvergent, TailNotResolved, PsiTooSmall, SingularOperator,
+            WeightVanishes) as e:
         print("computation failed: %s" % e, file=sys.stderr)
         return 2
 

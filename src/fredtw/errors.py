@@ -2,23 +2,22 @@
 
 
 class NonConvergent(RuntimeError):
-    """An adaptive quadrature failed to meet its tolerance within caps."""
+    """An adaptive quadrature or an iterative solver failed to meet its
+    tolerance within its caps."""
 
 
 class TailNotResolved(RuntimeError):
-    """Doubling the truncation length never met the tail criterion."""
+    """Doubling the truncation length never met the tail and
+    determinant-stability criteria."""
 
 
 class SingularOperator(RuntimeError):
-    """(I - K) is numerically singular on the current grid."""
+    """(I - K) is numerically singular on the current grid, or its
+    determinant is not positive."""
 
 
 class PsiTooSmall(RuntimeError):
     """|psi(tau)| fell below the non-vanishing guard."""
-
-
-class NoConvergence(RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
 
 
 class WeightVanishes(RuntimeError):

@@ -4,19 +4,21 @@ Fredholm determinants det(I - K), the truncated series oracle, and
 resolvent solves (I - K)^{-1} f.
 
 Gauss-Legendre panels (open rule, no endpoint nodes).  A half-infinite
-final component [tau, inf) is truncated at tau + L with L chosen by a
-doubling tail rule on the kernel diagonal plus determinant stability.
+final component [tau, inf) is truncated at tau + L with L chosen by one
+doubling search (nystrom): determinant stability, plus a tail rule on
+the kernel diagonal when the kernel comes from a WaveModel.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SingularOperator, TailNotResolved
 from .kernel import kernel_diag, kernel_matrix
+from .quadrature import gl_panels
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,6 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     truncation: Optional[float]      # L applied to a half-infinite component
-    panels: tuple                    # (a, b, n) per panel
     iu: IntervalUnion
 
 
@@ -89,59 +90,75 @@ class SeriesResult(NamedTuple):
     truncation_estimate: float
 
 
-def _panel_nodes(a, b, n):
-    t, w = np.polynomial.legendre.leggauss(n)
-    h = 0.5 * (b - a)
-    return 0.5 * (a + b) + h * t, h * w
-
-
-def _assemble(iu, pairs, cfg, L):
-    nodes, weights, panels = [], [], []
-    for a, b in pairs:
-        n_sub = max(1, int(math.ceil((b - a) / cfg.max_panel_len)))
-        edges = np.linspace(a, b, n_sub + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            x, w = _panel_nodes(lo, hi, cfg.nodes_per_panel)
-            nodes.append(x)
-            weights.append(w)
-            panels.append((lo, hi, cfg.nodes_per_panel))
-    return QuadratureGrid(np.concatenate(nodes), np.concatenate(weights),
-                          L, tuple(panels), iu)
+def _grid(iu, cfg, L):
+    """Panels over iu, its half-infinite component cut at tau + L."""
+    e = iu.endpoints
+    if iu.half_infinite:
+        e = e[:-1] + (e[-2] + L,)
+    parts = [gl_panels(a, b, cfg.nodes_per_panel, cfg.max_panel_len)
+             for a, b in zip(e[0::2], e[1::2])]
+    return QuadratureGrid(np.concatenate([x for x, _ in parts]),
+                          np.concatenate([w for _, w in parts]), L, iu)
 
 
 def build_grid(iu, cfg=None, model=None):
-    """Quadrature grid over the (truncated) union.
+    """Quadrature grid over the (truncated) union: with a model, the grid
+    at the truncation nystrom() accepts; without one, L = cfg.L_start."""
+    cfg = cfg or GridConfig()
+    if not iu.half_infinite:
+        return _grid(iu, cfg, None)
+    if model is None:
+        return _grid(iu, cfg, cfg.L_start)
+    return nystrom(iu, cfg, model).grid
 
-    With a model present the truncation L of a half-infinite component is
-    doubled from cfg.L_start until both the diagonal-tail bound
-    int_{tau+L}^{tau+2L} K(x,x) dx < tail_tol and |F_L - F_2L| <
-    det_stab_tol hold; without a model, L = cfg.L_start.
+
+def _tail_bound(model, tau, L):
+    x, w = gl_panels(tau + L, tau + 2 * L, 64)
+    return float(np.dot(w, np.abs(kernel_diag(model, x))))
+
+
+def nystrom(iu, cfg=None, model=None, matrix=None):
+    """The factorized Nystrom discretization of K on iu.
+
+    matrix(nodes) is the kernel matrix, by default kernel_matrix of the
+    model.  A half-infinite component [tau, inf) is cut at tau + L, with
+    L doubled from cfg.L_start until |F_L - F_2L| < det_stab_tol and,
+    with a model, the diagonal-tail bound int_{tau+L}^{tau+2L} |K(x,x)| dx
+    < tail_tol; the 2L level is carried into the next doubling.  Raises
+    SingularOperator unless det(I - K) on the accepted grid is positive.
     """
     cfg = cfg or GridConfig()
-    e = iu.endpoints
-    if not iu.half_infinite:
-        pairs = list(zip(e[0::2], e[1::2]))
-        return _assemble(iu, pairs, cfg, None)
+    if matrix is None:
+        def matrix(x):
+            return kernel_matrix(model, x)
 
-    finite_pairs = list(zip(e[0:-2:2], e[1:-1:2]))
-    tau = e[-2]
-    if model is None:
-        return _assemble(iu, finite_pairs + [(tau, tau + cfg.L_start)],
-                         cfg, cfg.L_start)
+    def level(L):
+        grid = _grid(iu, cfg, L)
+        return DiscretizedKernel(grid, matrix(grid.nodes))
 
-    L = cfg.L_start
-    while L <= cfg.L_max:
-        probe, pw = _panel_nodes(tau + L, tau + 2 * L, 64)
-        tail = float(np.dot(pw, np.abs(kernel_diag(model, probe))))
-        if tail < cfg.tail_tol:
-            g1 = _assemble(iu, finite_pairs + [(tau, tau + L)], cfg, L)
-            g2 = _assemble(iu, finite_pairs + [(tau, tau + 2 * L)], cfg, 2 * L)
-            F1 = fredholm_det(discretize(model, g1)).value
-            F2 = fredholm_det(discretize(model, g2)).value
-            if abs(F1 - F2) < cfg.det_stab_tol:
-                return g1
-        L *= 2.0
-    raise TailNotResolved("tail criterion unmet up to L_max=%g" % cfg.L_max)
+    if iu.half_infinite:
+        tau, L, carried = iu.endpoints[-2], cfg.L_start, None
+        while L <= cfg.L_max:
+            if model is not None \
+                    and _tail_bound(model, tau, L) >= cfg.tail_tol:
+                carried = None
+            else:
+                disc, d2 = carried or level(L), level(2 * L)
+                if abs(fredholm_det(disc).value - fredholm_det(d2).value) \
+                        < cfg.det_stab_tol:
+                    break
+                carried = d2
+            L *= 2.0
+        else:
+            raise TailNotResolved("truncation unresolved up to L_max=%g"
+                                  % cfg.L_max)
+    else:
+        disc = level(None)
+    det = fredholm_det(disc)
+    if det.sign != 1.0:
+        raise SingularOperator("det(I - K) = %.3e is not positive"
+                               % det.value)
+    return disc
 
 
 class DiscretizedKernel:
@@ -206,9 +223,8 @@ def fredholm_series(model, iu, k_max=2, tol=1e-12, cfg=None):
     """
     if k_max > 4:
         raise ValueError("k_max is capped at 4")
-    cfg = cfg or GridConfig()
-    grid = build_grid(iu, cfg, model=model)
-    M = kernel_matrix(model, grid.nodes) * grid.weights[None, :]
+    disc = nystrom(iu, cfg, model)
+    M = disc.K * disc.grid.weights[None, :]
     t = [None]
     P = np.eye(M.shape[0])
     for _ in range(k_max):
@@ -228,6 +244,5 @@ def fredholm_series(model, iu, k_max=2, tol=1e-12, cfg=None):
 
 
 def gap_probability(model, iu, cfg=None):
-    """F(I) = det(I - K) with the grid built for this model."""
-    grid = build_grid(iu, cfg, model=model)
-    return fredholm_det(discretize(model, grid)).value
+    """F(I) = det(I - K) on the truncation nystrom() accepts."""
+    return fredholm_det(nystrom(iu, cfg, model)).value

@@ -14,13 +14,11 @@ Routes:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .awf import FD_STEP, _rebuild, resolvent_endpoint
+from .awf import FD_STEP, _rebuild, build_awf, resolvent_endpoint
 from .errors import PsiTooSmall
-from .fredholm import GridConfig, gap_probability, half_line
+from .fredholm import GridConfig, gap_probability, half_line, nystrom
 
 ROUTES = ("DIAGONAL", "CANONICAL", "CLOSED_FORM")
 
@@ -39,8 +37,8 @@ def _q_derivs(model, table, tau, h=FD_STEP, cfg=None):
     tables (independent of the identity under test)."""
     q = table.eval_chi(0, 0, tau)
     qp = table.chi_total_deriv(0, 0)
-    tp = _rebuild(model, tau + h, table, cfg)
-    tm = _rebuild(model, tau - h, table, cfg)
+    tp = _rebuild(model, half_line(tau + h), table, cfg)
+    tm = _rebuild(model, half_line(tau - h), table, cfg)
     qpp = (tp.eval_chi(0, 0, tau + h) - 2.0 * q
            + tm.eval_chi(0, 0, tau - h)) / h ** 2
     return q, qp, qpp
@@ -95,15 +93,12 @@ def logdet_link_residual(model, tau, h=1e-3, cfg=None, N=1):
     """Centered FD of log F([tau, inf)) minus (u0_dot/gamma) H_1(tau)."""
     if not 1e-5 <= h <= 1e-2:
         raise ValueError("h must lie in [1e-5, 1e-2]")
-    from .awf import build_awf
-    from .fredholm import build_grid, discretize
     cfg = cfg or GridConfig()
-    grid = build_grid(half_line(tau), cfg, model=model)
-    table = build_awf(model, discretize(model, grid), N)
-    h1 = hamiltonian(table, 1, tau, route="DIAGONAL")
+    disc = nystrom(half_line(tau), cfg, model)
+    h1 = hamiltonian(build_awf(model, disc, N), 1, tau, route="DIAGONAL")
 
-    from dataclasses import replace
-    pinned = replace(cfg, L_start=grid.truncation, L_max=grid.truncation)
+    L = disc.grid.truncation
+    pinned = replace(cfg, L_start=L, L_max=L)
     Fp = gap_probability(model, half_line(tau + h), pinned)
     Fm = gap_probability(model, half_line(tau - h), pinned)
     fd = (math.log(Fp) - math.log(Fm)) / (2.0 * h)
@@ -118,8 +113,8 @@ def h1_derivative_residual(model, table, tau, h=FD_STEP, cfg=None):
     p = float(m.psi(tau))
     if udd != 0.0 and abs(p) < table.psi_floor:
         raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
-    tp = _rebuild(m, tau + h, table, cfg)
-    tm = _rebuild(m, tau - h, table, cfg)
+    tp = _rebuild(m, half_line(tau + h), table, cfg)
+    tm = _rebuild(m, half_line(tau - h), table, cfg)
     fd = (hamiltonian(tp, 1, tau + h, "DIAGONAL")
           - hamiltonian(tm, 1, tau - h, "DIAGONAL")) / (2.0 * h)
     q = table.eval_chi(0, 0, tau)

@@ -12,6 +12,7 @@ for models that carry a profile.
 import numpy as np
 
 from .errors import NonConvergent
+from .quadrature import gl_panels
 
 DELTA_DIAG = 1e-6   # below this separation the CD quotient cancels badly
 X_CAP = 200.0       # truncation cap for the direct-integral oracle
@@ -80,17 +81,6 @@ def kernel_row(model, xi, nodes):
     return row
 
 
-def _gl_panels(a, b, panel_len, n_per_panel=32):
-    t, w = np.polynomial.legendre.leggauss(n_per_panel)
-    n_panels = max(1, int(np.ceil((b - a) / panel_len)))
-    edges = np.linspace(a, b, n_panels + 1)
-    h = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + h[:, None] * t[None, :]).ravel()
-    wts = (h[:, None] * w[None, :]).ravel()
-    return nodes, wts
-
-
 def kernel_direct(model, xi, zeta, tol=1e-10):
     """Direct x-integration of the defining kernel integral.
 
@@ -116,9 +106,9 @@ def kernel_direct(model, xi, zeta, tol=1e-10):
     else:
         raise NonConvergent("integrand tail above tolerance at X cap")
 
-    nodes, wts = _gl_panels(0.0, X, panel_len=2.0)
+    nodes, wts = gl_panels(0.0, X, 32, panel_len=2.0)
     coarse = float(np.dot(wts, integrand(nodes)))
-    nodes, wts = _gl_panels(0.0, X, panel_len=1.0)
+    nodes, wts = gl_panels(0.0, X, 32, panel_len=1.0)
     fine = float(np.dot(wts, integrand(nodes)))
     if abs(fine - coarse) > tol:
         raise NonConvergent(

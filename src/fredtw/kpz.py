@@ -25,8 +25,8 @@ from scipy.integrate import solve_ivp
 
 from .airy import airy_ai
 from .errors import NonConvergent, WeightVanishes
-from .fredholm import (GridConfig, build_grid, discretize_matrix,
-                       fredholm_det, half_line)
+from .fredholm import fredholm_det, half_line, nystrom
+from .quadrature import gl_panels
 
 WEIGHT_FLOOR = 1e-14
 
@@ -56,16 +56,6 @@ class FiniteTempSpec:
         return out
 
 
-def _gl_grid(lo, hi, panel_len=1.0, n=32):
-    t, w = np.polynomial.legendre.leggauss(n)
-    n_panels = max(1, int(math.ceil((hi - lo) / panel_len)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    h = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    return (mid[:, None] + h[:, None] * t[None, :]).ravel(), \
-        (h[:, None] * w[None, :]).ravel()
-
-
 def _lambda_cuts(spec, x_min, tol):
     """Two-sided truncation of the lambda axis: left where the Fermi
     factor drops below tol/100, right where the phi^2 envelope does
@@ -92,7 +82,7 @@ def kpz_kernel(spec, xi, zeta, tol=1e-10):
     base = _panel_len(spec)
     vals = []
     for plen in (base, 0.5 * base):
-        lam, w = _gl_grid(lo, hi, panel_len=plen)
+        lam, w = gl_panels(lo, hi, 32, plen)
         f = np.asarray(spec.phi(lam + spec.gamma * xi), dtype=float) \
             * np.asarray(spec.phi(lam + spec.gamma * zeta), dtype=float)
         vals.append(float(np.dot(w * spec.fermi(lam), f)))
@@ -111,7 +101,7 @@ def generic_ft_kernel(phi, f_weight, gamma, lambda_lo, lambda_hi,
         lambda_lo, lambda_hi, sign = lambda_hi, lambda_lo, -1.0
     vals = []
     for plen in (1.0, 0.5):
-        lam, w = _gl_grid(lambda_lo, lambda_hi, panel_len=plen)
+        lam, w = gl_panels(lambda_lo, lambda_hi, 32, plen)
         f = np.asarray(f_weight(lam), dtype=float)
         if np.min(np.abs(f)) < WEIGHT_FLOOR:
             raise WeightVanishes("|f| < %g at a quadrature node"
@@ -135,7 +125,7 @@ def kpz_matrix(spec, nodes, tol=1e-10):
     base = _panel_len(spec)
     mats = []
     for plen in (base, 0.5 * base):
-        lam, w = _gl_grid(lo, hi, panel_len=plen)
+        lam, w = gl_panels(lo, hi, 32, plen)
         Phi = np.asarray(spec.phi(lam[None, :] + spec.gamma * x[:, None]),
                          dtype=float)
         mats.append((Phi * (w * spec.fermi(lam))[None, :]) @ Phi.T)
@@ -147,23 +137,12 @@ def kpz_matrix(spec, nodes, tol=1e-10):
 def kpz_gap(spec, tau, cfg=None, tol=1e-10):
     """F([tau, inf)) = det(I - K) for the Fermi-weighted kernel.
 
-    The half-line grid cannot use the model-driven tail rule (there is
-    no WaveModel), so the truncation is chosen by doubling L until the
-    determinant stabilizes below cfg.det_stab_tol.
+    There is no WaveModel for the diagonal-tail probe, so the truncation
+    is the one fredholm.nystrom accepts by determinant stability alone.
     """
-    cfg = cfg or GridConfig()
-    from dataclasses import replace
-    L, F_prev = cfg.L_start, None
-    while L <= cfg.L_max:
-        grid = build_grid(half_line(tau), replace(cfg, L_start=L))
-        disc = discretize_matrix(kpz_matrix(spec, grid.nodes, tol), grid)
-        F = fredholm_det(disc).value
-        if F_prev is not None and abs(F - F_prev) < cfg.det_stab_tol:
-            return F_prev
-        F_prev = F
-        L *= 2.0
-    raise NonConvergent("determinant not stabilized up to L_max=%g"
-                        % cfg.L_max)
+    disc = nystrom(half_line(tau), cfg,
+                   matrix=lambda x: kpz_matrix(spec, x, tol))
+    return fredholm_det(disc).value
 
 
 def u_reparam_check(spec, u_ref, n_points=50):

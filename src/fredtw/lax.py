@@ -17,13 +17,12 @@ polluted by the cut; residuals are therefore measured only on components
 2n+alpha with n <= N-2.
 """
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .awf import build_awf
-from .fredholm import GridConfig, build_grid, discretize
+from .awf import _rebuild, build_awf
+from .fredholm import nystrom
 
 FD_STEP = 1e-4
 
@@ -129,8 +128,7 @@ class LaxTruncation:
 
 
 def build_truncation(model, iu, N, cfg=None):
-    grid = build_grid(iu, cfg, model=model)
-    table = build_awf(model, discretize(model, grid), N + 1)
+    table = build_awf(model, nystrom(iu, cfg, model), N + 1)
     taus = iu.finite_endpoints
     parities = tuple((-1.0) ** (j + 1) for j in range(len(taus)))
     A = tuple(build_A(table, parities[j], N, tau=taus[j])
@@ -138,18 +136,10 @@ def build_truncation(model, iu, N, cfg=None):
     return LaxTruncation(model, iu, N, table, taus, parities, A)
 
 
-def _pinned_cfg(trunc, cfg):
-    cfg = cfg or GridConfig()
-    L = trunc.table.grid.truncation
-    return replace(cfg, L_start=L) if L is not None else cfg
-
-
-def _shifted_table(trunc, j, delta, cfg, order):
-    """AWF table of the union with endpoint j moved by delta, on a grid
-    whose tail truncation is pinned to the reference table's."""
-    iu2 = trunc.iu.with_endpoint(j, trunc.taus[j] + delta)
-    grid = build_grid(iu2, _pinned_cfg(trunc, cfg))
-    return build_awf(trunc.model, discretize(trunc.model, grid), order)
+def _moved(trunc, j, h):
+    """The union with endpoint j moved by +h and by -h."""
+    return (trunc.iu.with_endpoint(j, trunc.taus[j] + h),
+            trunc.iu.with_endpoint(j, trunc.taus[j] - h))
 
 
 def measured(vec_or_mat, N):
@@ -177,8 +167,8 @@ def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP, cfg=None):
         raise ValueError("xi must stay away from the endpoints")
     X0 = trunc.X(xi)
     if which == "TAU_EQ":
-        tp = _shifted_table(trunc, j, +h, cfg, trunc.N)
-        tm = _shifted_table(trunc, j, -h, cfg, trunc.N)
+        tp, tm = (_rebuild(trunc.model, iu, trunc.table, cfg)
+                  for iu in _moved(trunc, j, h))
         fd = (trunc.X(xi, tp) - trunc.X(xi, tm)) / (2.0 * h)
         res = fd + (trunc.A[j] @ X0) / (xi - trunc.taus[j])
     else:
@@ -203,12 +193,9 @@ def schlesinger_residual(trunc, i, j, h=FD_STEP, cfg=None):
     diagnostic.
     """
     N = trunc.N
-    tp = _shifted_table(trunc, j, +h, cfg, N)
-    tm = _shifted_table(trunc, j, -h, cfg, N)
-    taus_p = trunc.iu.with_endpoint(j, trunc.taus[j] + h).finite_endpoints
-    taus_m = trunc.iu.with_endpoint(j, trunc.taus[j] - h).finite_endpoints
-    Ap = build_A(tp, trunc.parities[i], N, tau=taus_p[i])
-    Am = build_A(tm, trunc.parities[i], N, tau=taus_m[i])
+    Ap, Am = (build_A(_rebuild(trunc.model, iu, trunc.table, cfg),
+                      trunc.parities[i], N, tau=iu.finite_endpoints[i])
+              for iu in _moved(trunc, j, h))
     fd = (Ap - Am) / (2.0 * h)
     if i != j:
         rhs = _comm(trunc.A[i], trunc.A[j]) / (trunc.taus[i] - trunc.taus[j])

@@ -1,18 +1,20 @@
 """
 The q-equation solver and the two functional determinant formulas.
 
-q = (I-K)^{-1} psi restricted to the endpoint satisfies a second-order
-integro-differential equation whose only nonlocal content is
-M(tau) = int_tau^inf q^2.  We solve it by piecewise Chebyshev-Lobatto
-collocation (spectral elements with C^1 interfaces): an outer Picard
-iteration freezes M, an inner damped Newton solves the resulting local
-boundary-value problem with q, q' matched to psi, psi' at the right
-end T_match.  Panelization is essential, not cosmetic: a single global
-Chebyshev grid on a length-10 domain carries O(n^4)-scaled rows whose
-roundoff drowns the exponentially small right-end data that determines
-the solution, while short panels keep the differentiation scale small
-so the conditioning reduces to the physical sensitivity of the
-right-anchored problem.
+q = (I-K)^{-1} psi restricted to the endpoint satisfies, for models with
+u0_ddot = 0, the local second-order equation
+(u0_dot/gamma)^2 q'' = (v0 + tau) q + 2 (u0_dot/gamma) q^3 (Painleve II
+for the Airy model).  Models with u0_ddot != 0 are refused: the closed
+equation written for them is false (see notes/decisions.md).  We solve
+it by piecewise Chebyshev-Lobatto collocation (spectral elements with
+C^1 interfaces): a backward IVP predictor and a damped Newton corrector
+with q, q' matched to psi, psi' at the right end T_match, repeated by
+an outer loop until two passes agree.  Panelization is essential, not
+cosmetic: a single global Chebyshev grid on a length-10 domain carries
+O(n^4)-scaled rows whose roundoff drowns the exponentially small
+right-end data that determines the solution, while short panels keep
+the differentiation scale small so the conditioning reduces to the
+physical sensitivity of the right-anchored problem.
 
 The converged solution feeds two independent expressions for
 F([tau, inf)) = det(I - K): the q-functional integral and the
@@ -26,12 +28,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import CubicSpline
 
-from .errors import NoConvergence, PsiTooSmall, TailNotResolved
+from .errors import NonConvergent, TailNotResolved
 from .wavefun import psi_second
-
-PSI_FLOOR_FRAC = 1e-6
 
 
 @dataclass(frozen=True)
@@ -161,34 +160,23 @@ def _make_panels(a, b, cfg):
                  for lo, hi in zip(edges[:-1], edges[1:]))
 
 
-def _ode_rhs(model, t, q, qp, M):
-    """Right-hand side of the q-equation, vectorized over nodes."""
-    g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    out = (g * g / ud ** 2) * (model.v0 + t) * q \
-        + (2.0 * g / ud) * (q ** 3 - (g * udd / ud ** 2) * q * M)
-    if udd != 0.0:
-        p = np.asarray(model.psi(t), dtype=float)
-        pp = np.asarray(model.psi_prime(t), dtype=float)
-        out -= (2.0 * g * g * udd ** 2 / ud ** 4) * (q ** 3 / p ** 2 - q ** 2 / p)
-        out += (g * udd / ud ** 2) * (qp + 2.0 * (q ** 2 / p ** 2) * pp
-                                      - 4.0 * (q / p) * qp)
-    return out
+def _refuse_damped(model):
+    if model.u0_ddot != 0.0:
+        raise ValueError("the q-equation route needs u0_ddot = 0 (got %g); "
+                         "see notes/decisions.md" % model.u0_ddot)
 
 
-def _ode_jac(model, t, q, qp, M):
-    """(d rhs/d q, d rhs/d q') as nodal diagonal arrays."""
-    g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    dq = (g * g / ud ** 2) * (model.v0 + t) \
-        + (2.0 * g / ud) * (3.0 * q ** 2 - (g * udd / ud ** 2) * M)
-    dqp = np.zeros_like(q)
-    if udd != 0.0:
-        p = np.asarray(model.psi(t), dtype=float)
-        pp = np.asarray(model.psi_prime(t), dtype=float)
-        dq -= (2.0 * g * g * udd ** 2 / ud ** 4) * (3.0 * q ** 2 / p ** 2
-                                                    - 2.0 * q / p)
-        dq += (g * udd / ud ** 2) * (4.0 * q * pp / p ** 2 - 4.0 * qp / p)
-        dqp += (g * udd / ud ** 2) * (1.0 - 4.0 * q / p)
-    return dq, dqp
+def _ode_rhs(model, t, q):
+    """Right-hand side of the q-equation (u0_ddot = 0), vectorized over
+    nodes."""
+    g, ud = model.gamma, model.u0_dot
+    return (g * g / ud ** 2) * (model.v0 + t) * q + (2.0 * g / ud) * q ** 3
+
+
+def _ode_jac(model, t, q):
+    """d rhs/d q as a nodal diagonal array."""
+    g, ud = model.gamma, model.u0_dot
+    return (g * g / ud ** 2) * (model.v0 + t) + (2.0 * g / ud) * (3.0 * q ** 2)
 
 
 def _tail_integral(f, T, tol, cut0=16.0, cut_max=512.0):
@@ -230,10 +218,9 @@ class _System:
             qp[s] = p.D @ q[s]
         return qp
 
-    def residual(self, q, M):
+    def residual(self, q):
         F = np.empty(self.size)
-        qp = self.deriv(q)
-        rhs = _ode_rhs(self.model, self.t, q, qp, M)
+        rhs = _ode_rhs(self.model, self.t, q)
         last = len(self.panels) - 1
         for k, (p, s) in enumerate(zip(self.panels, self.slices)):
             n = p.nodes.size - 1
@@ -252,14 +239,13 @@ class _System:
                 F[s.stop - 1] = q[s.stop - 1] - self.psi_T
         return F
 
-    def jacobian(self, q, M):
+    def jacobian(self, q):
         J = np.zeros((self.size, self.size))
-        qp = self.deriv(q)
-        dq, dqp = _ode_jac(self.model, self.t, q, qp, M)
+        dq = _ode_jac(self.model, self.t, q)
         last = len(self.panels) - 1
         for k, (p, s) in enumerate(zip(self.panels, self.slices)):
             D2 = p.D @ p.D
-            J[s, s] = D2 - np.diag(dq[s]) - np.diag(dqp[s]) @ p.D
+            J[s, s] = D2 - np.diag(dq[s])
             if k > 0:
                 prev = self.slices[k - 1]
                 pprev = self.panels[k - 1]
@@ -280,6 +266,7 @@ class _System:
 
 def solve_q(model, tau_min, cfg=None):
     """Collocation solution of the q-equation on [tau_min, T_match]."""
+    _refuse_damped(model)
     cfg = cfg or SolverConfig()
     T = cfg.T_match if cfg.T_match is not None else max(tau_min + 10.0, 8.0)
     panels = _make_panels(tau_min, T, cfg)
@@ -288,13 +275,6 @@ def solve_q(model, tau_min, cfg=None):
     t = sys.t
 
     psi_t = np.asarray(model.psi(t), dtype=float)
-    if model.u0_ddot != 0.0 and float(np.max(np.abs(psi_t))) > 0.0:
-        # the 1/psi terms blow up at zeros of psi, not under uniform
-        # decay: guard against sign changes and exact zeros on the grid
-        # rather than against a global-scale floor
-        if float(np.min(np.abs(psi_t))) == 0.0 \
-                or float(np.min(psi_t) * np.max(psi_t)) < 0.0:
-            raise PsiTooSmall("psi vanishes inside [%g, %g]" % (tau_min, T))
 
     # tail of int q^2 beyond T, closed with the psi asymptote
     if float(np.max(np.abs(psi_t))) == 0.0:
@@ -320,23 +300,19 @@ def solve_q(model, tau_min, cfg=None):
             acc = float(loc[0])
         return M
 
-    def predict(M):
-        # backward integration of the local ODE (frozen M) from the
-        # right-end data.  This direction is numerically benign -- the
+    def predict():
+        # backward integration of the ODE from the right-end data.
+        # This direction is numerically benign -- the
         # mode that decays toward +inf is resolved in a relative sense
         # -- and places the Newton corrector inside the basin of the
         # decaying solution, which a collocation residual alone cannot
         # distinguish from its bounded neighbours at double precision.
         if float(np.max(np.abs(psi_t))) == 0.0:
             return np.zeros_like(t)
-        uniq, idx = np.unique(t, return_index=True)
-        Mfun = CubicSpline(uniq, M[idx])
 
         def rhs(s, y):
             qv, qpv = y
-            dd = float(_ode_rhs(model, np.float64(s), qv, qpv,
-                                float(Mfun(np.clip(s, t[0], t[-1])))))
-            return [qpv, dd]
+            return [qpv, float(_ode_rhs(model, np.float64(s), qv))]
 
         # absolute tolerance pinned to the right-end data scale: a fixed
         # floor would be amplified by the full leftward growth factor
@@ -345,20 +321,20 @@ def solve_q(model, tau_min, cfg=None):
                         method="DOP853", rtol=3e-13, atol=atol,
                         dense_output=True)
         if not ivp.success:
-            raise NoConvergence("backward predictor failed: %s"
+            raise NonConvergent("backward predictor failed: %s"
                                 % ivp.message)
         return ivp.sol(t)[0]
 
-    def newton(q, M):
+    def newton(q):
         # improvement-gated corrector: the collocation residual of a
         # well-predicted iterate sits at its roundoff floor, where the
         # equilibrated system is flat along the decaying mode -- steps
         # that do not clearly reduce the residual are noise and are
         # rejected rather than accumulated
         for _ in range(cfg.max_newton):
-            J = sys.jacobian(q, M)
+            J = sys.jacobian(q)
             scale = np.max(np.abs(J), axis=1)
-            F = sys.residual(q, M)
+            F = sys.residual(q)
             nrm = float(np.max(np.abs(F / scale)))
             if nrm < 64.0 * np.finfo(float).eps:
                 break
@@ -367,7 +343,7 @@ def solve_q(model, tau_min, cfg=None):
             accepted = False
             for _ in range(25):
                 cand = float(np.max(np.abs(
-                    sys.residual(q + s * step, M) / scale)))
+                    sys.residual(q + s * step) / scale)))
                 if cand <= 0.7 * nrm:
                     accepted = True
                     break
@@ -381,22 +357,21 @@ def solve_q(model, tau_min, cfg=None):
 
     q = psi_t.copy()
     for outer in range(1, cfg.max_outer + 1):
-        M = cumulative_M(q)
-        q_new = newton(predict(M), M)
+        q_new = newton(predict())
         delta = float(np.max(np.abs(q_new - q)))
         q = q_new
         if delta < cfg.fixed_point_tol:
             break
     else:
-        raise NoConvergence("outer Picard did not settle in %d iterations"
+        raise NonConvergent("outer loop did not settle in %d iterations"
                             % cfg.max_outer)
 
     if abs(q[-1] - psi_t[-1]) > cfg.match_tol:
-        raise NoConvergence("boundary match |q - psi|(T) = %.3e"
+        raise NonConvergent("boundary match |q - psi|(T) = %.3e"
                             % abs(q[-1] - psi_t[-1]))
     M = cumulative_M(q)
     qp = sys.deriv(q)
-    qpp = _ode_rhs(model, t, q, qp, M)
+    qpp = _ode_rhs(model, t, q)
     res = 0.0
     for p, s in zip(panels, sys.slices):
         loc = (p.D @ (p.D @ q[s])) - qpp[s]
@@ -409,51 +384,27 @@ def solve_q(model, tau_min, cfg=None):
 # ----------------------------------------------------------------------
 # determinant functionals
 
-def _functional_integrand(model, t, q, qp, qpp):
-    """q((u0_dot/gamma) q'' - q^3 + (u0_ddot/u0_dot) q (q'/psi
-    - psi' q/psi^2)) - (u0_dot/gamma) q'^2, vectorized."""
-    g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    out = q * ((ud / g) * qpp - q ** 3) - (ud / g) * qp ** 2
-    if udd != 0.0:
-        p = np.asarray(model.psi(t), dtype=float)
-        pp = np.asarray(model.psi_prime(t), dtype=float)
-        out += (udd / ud) * q * q * (qp / p - pp * q / (p * p))
-    return out
-
-
-def _bracket(model, t, q, qp, qpp):
-    """q'^2 - q(q'' - (gamma/u0_dot) q^3 + (gamma u0_ddot/u0_dot^2)
-    q (q'/psi - psi' q/psi^2)); the first-Hamiltonian combination."""
-    g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    inner = qpp - (g / ud) * q ** 3
-    if udd != 0.0:
-        p = np.asarray(model.psi(t), dtype=float)
-        pp = np.asarray(model.psi_prime(t), dtype=float)
-        inner += (g * udd / ud ** 2) * q * (qp / p - pp * q / (p * p))
-    return qp ** 2 - q * inner
+def _functional_integrand(model, q, qp, qpp):
+    """q((u0_dot/gamma) q'' - q^3) - (u0_dot/gamma) q'^2, vectorized."""
+    g, ud = model.gamma, model.u0_dot
+    return q * ((ud / g) * qpp - q ** 3) - (ud / g) * qp ** 2
 
 
 def _psi_subst(model, s, kind, tau=0.0):
     """Tail integrand with q replaced by its psi asymptote."""
     q = float(model.psi(s))
-    qp = float(model.psi_prime(s))
-    qpp = float(psi_second(model, s))
-    sa = np.float64(s)
     if kind == "functional":
-        return float(_functional_integrand(model, sa, q, qp, qpp))
-    h = q * q
-    udd, g = model.u0_ddot, model.gamma
-    if udd != 0.0:
-        # 2q/psi - 1 -> 1 on the asymptote q = psi
-        h += (udd / g) * float(_bracket(model, sa, q, qp, qpp))
-    return (s - tau) * h
+        return float(_functional_integrand(
+            model, q, float(model.psi_prime(s)), float(psi_second(model, s))))
+    return (s - tau) * (q * q)
 
 
 def det_via_functional(sol, model, tau):
     """F([tau, inf)) from the q-functional integral."""
+    _refuse_damped(model)
     if tau < sol.tau_min - 1e-12:
         raise ValueError("tau below the solution domain")
-    f = _functional_integrand(model, sol.tau_grid, sol.q, sol.qp, sol.qpp)
+    f = _functional_integrand(model, sol.q, sol.qp, sol.qpp)
     G = sol.antiderivative(f)
     core = float(G[-1]) - sol.interp(G, tau)
     tail = _tail_integral(lambda s: _psi_subst(model, s, "functional"),
@@ -463,15 +414,12 @@ def det_via_functional(sol, model, tau):
 
 def det_via_alternative(sol, model, tau):
     """F([tau, inf)) from the (sigma - tau)-weighted representation."""
+    _refuse_damped(model)
     if tau < sol.tau_min - 1e-12:
         raise ValueError("tau below the solution domain")
-    g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
+    g, ud = model.gamma, model.u0_dot
     t = sol.tau_grid
     h = sol.q ** 2
-    if udd != 0.0:
-        p = np.asarray(model.psi(t), dtype=float)
-        h = h + (udd / g) * (2.0 * sol.q / p - 1.0) \
-            * _bracket(model, t, sol.q, sol.qp, sol.qpp)
     G1 = sol.antiderivative(t * h)
     G0 = sol.antiderivative(h)
     core = (float(G1[-1]) - sol.interp(G1, tau)) \
@@ -490,6 +438,6 @@ def q_ode_residual(sol, model, tau):
         if d[i] <= 1e-10 * max(1.0, abs(tau)) and 0 < i < p.nodes.size - 1:
             q = sol.q[s]
             qpp_spec = (p.D @ (p.D @ q))[i]
-            rhs = _ode_rhs(model, p.nodes, q, p.D @ q, sol.M[s])[i]
+            rhs = _ode_rhs(model, p.nodes, q)[i]
             return float(qpp_spec - rhs)
     raise ValueError("tau is not an interior collocation node")

@@ -103,6 +103,13 @@ def test_tw_solve_csv(tmp_path):
     assert abs(row[2] - row[4]) < 1e-6
 
 
+def test_det_refuses_negative_determinant(capsys):
+    # det(I - K) at tau = -14 is below the LU's rounding floor and comes
+    # out negative: a failed computation (exit 2), not a probability
+    assert run(["det", "--tau", "-14"]) == 2
+    assert "not positive" in capsys.readouterr().err
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[grid]\nnodes_per_panel = 30\n[run]\nseed = 7\n")

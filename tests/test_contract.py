@@ -1,0 +1,35 @@
+"""The names the benchmark's span tracer (perfbench/spans.py) patches from
+outside the package must stay bound, or its per-layer figures silently
+read zero."""
+
+import importlib
+import importlib.util
+import math
+from pathlib import Path
+
+from fredtw import airy_model, build_grid, half_line
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.TRACED
+
+
+def test_traced_names_are_bound():
+    traced = _traced()
+    pairs = {(m, a) for m, a, _, _ in traced}
+    assert {("fredtw.awf", "_rebuild"),
+            ("fredtw.fredholm", "lu_factor")} <= pairs
+    for mod_name, attr, _, _ in traced:
+        assert callable(getattr(importlib.import_module(mod_name), attr)), \
+            (mod_name, attr)
+
+
+def test_model_grid_has_nodes():
+    grid = build_grid(half_line(2.0), model=airy_model())
+    assert grid.nodes.size > 0
+    assert math.isfinite(grid.truncation)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fredtw import fredholm
 from fredtw.errors import SingularOperator
 from fredtw.fredholm import (GridConfig, IntervalUnion, build_grid,
                              discretize, fredholm_det, fredholm_series,
@@ -87,3 +88,19 @@ def test_det_result_fields(airy):
 def test_grid_config_validation():
     with pytest.raises(ValueError):
         GridConfig(nodes_per_panel=3)
+
+
+def test_gap_reuses_the_accepted_discretization(airy, monkeypatch):
+    """The L-doubling search hands back the factorized kernel it accepted:
+    F on [0, inf) costs the L and 2L builds of the one level tried."""
+    calls = []
+    inner = fredholm.kernel_matrix
+
+    def counting(model, nodes):
+        calls.append(nodes.size)
+        return inner(model, nodes)
+
+    monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+    F = gap_probability(airy, half_line(0.0))
+    assert len(calls) == 2
+    assert F == pytest.approx(F0_AIRY, abs=1e-9)

@@ -4,11 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fredtw.errors import PsiTooSmall
 from fredtw.fredholm import gap_probability, half_line
 from fredtw.twsolver import (SolverConfig, det_via_alternative,
-                             det_via_functional, q_ode_residual, solve_q,
-                             _ode_rhs)
+                             det_via_functional, q_ode_residual, solve_q)
 from fredtw.wavefun import airy_model, damped_airy_model, zero_model
 
 from conftest import endpoint_q
@@ -112,15 +110,21 @@ def test_bvp_vs_resolvent_nodewise(airy, airy_sol):
             <= 1e-5 * max(abs(ref), 1e-12)
 
 
-def test_psi_zero_guard():
-    """With u0_ddot != 0 the equation contains 1/psi terms; a model
-    whose psi changes sign inside the domain is refused."""
+def test_psi_zero_guard(airy_sol):
+    """With u0_ddot != 0 the closed q-equation carries 1/psi terms and is
+    false (test_damped_resolvent_q_satisfies_closed_ode): every route
+    through it refuses such a model up front, whether or not psi
+    changes sign inside the domain."""
     m = damped_airy_model()
-    # shift so that a zero of Ai (first zero near -2.338) enters
     bad = replace(m, psi=lambda x: np.asarray(np.cos(x), dtype=float),
                   psi_prime=lambda x: -np.asarray(np.sin(x), dtype=float))
-    with pytest.raises(PsiTooSmall):
-        solve_q(bad, -1.0)
+    for model in (m, bad):
+        with pytest.raises(ValueError, match="u0_ddot"):
+            solve_q(model, -1.0)
+        with pytest.raises(ValueError, match="u0_ddot"):
+            det_via_functional(airy_sol, model, 0.0)
+        with pytest.raises(ValueError, match="u0_ddot"):
+            det_via_alternative(airy_sol, model, 0.0)
 
 
 @pytest.mark.xfail(
@@ -138,12 +142,20 @@ def test_damped_resolvent_q_satisfies_closed_ode():
     tab = build_awf(m, discretize(m, grid), 1)
     q = tab.eval_chi(0, 0, tau)
     qp = tab.chi_total_deriv(0, 0)
-    tp = _rebuild(m, tau + h, tab)
-    tm = _rebuild(m, tau - h, tab)
+    tp = _rebuild(m, half_line(tau + h), tab)
+    tm = _rebuild(m, half_line(tau - h), tab)
     qpp = (tp.eval_chi(0, 0, tau + h) - 2.0 * q
            + tm.eval_chi(0, 0, tau - h)) / h ** 2
     M = tab.mu[1, 0] + tab.mu[0, 0]  # = int_tau^inf q^2 (shift identity)
-    assert abs(qpp - _ode_rhs(m, tau, q, qp, M)) < 1e-6
+    # the closed q-equation for u0_ddot != 0, as the solver once used it
+    g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
+    p, pp = float(m.psi(tau)), float(m.psi_prime(tau))
+    rhs = (g * g / ud ** 2) * (m.v0 + tau) * q \
+        + (2.0 * g / ud) * (q ** 3 - (g * udd / ud ** 2) * q * M) \
+        - (2.0 * g * g * udd ** 2 / ud ** 4) * (q ** 3 / p ** 2 - q ** 2 / p) \
+        + (g * udd / ud ** 2) * (qp + 2.0 * (q ** 2 / p ** 2) * pp
+                                 - 4.0 * (q / p) * qp)
+    assert abs(qpp - rhs) < 1e-6
 
 
 def test_solver_config_defaults():
