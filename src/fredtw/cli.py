@@ -79,11 +79,11 @@ def _load_config(path):
             if cp.has_option("grid", k):
                 gkw[k] = cp.getfloat("grid", k)
     if cp.has_section("solver"):
-        for k in ("panel_degree", "max_outer", "max_newton"):
+        for k in ("panel_degree", "max_newton"):
             if cp.has_option("solver", k):
                 skw[k] = cp.getint("solver", k)
-        for k in ("panel_len", "T_match", "match_tol", "fixed_point_tol",
-                  "newton_tol", "integ_tail_tol"):
+        for k in ("panel_len", "T_match", "match_tol", "newton_tol",
+                  "integ_tail_tol"):
             if cp.has_option("solver", k):
                 skw[k] = cp.getfloat("solver", k)
     seed = cp.getint("run", "seed") if cp.has_option("run", "seed") else 0

@@ -7,19 +7,20 @@ u0_ddot = 0, the local second-order equation
 for the Airy model).  Models with u0_ddot != 0 are refused: the closed
 equation written for them is false (see notes/decisions.md).  We solve
 it by piecewise Chebyshev-Lobatto collocation (spectral elements with
-C^1 interfaces): a backward IVP predictor and a damped Newton corrector
-with q, q' matched to psi, psi' at the right end T_match, repeated by
-an outer loop until two passes agree.  Panelization is essential, not
-cosmetic: a single global Chebyshev grid on a length-10 domain carries
-O(n^4)-scaled rows whose roundoff drowns the exponentially small
-right-end data that determines the solution, while short panels keep
-the differentiation scale small so the conditioning reduces to the
-physical sensitivity of the right-anchored problem.
+C^1 interfaces): one pass of a backward IVP predictor and a damped
+Newton corrector with q, q' matched to psi, psi' at the right end
+T_match.  Panelization is essential, not cosmetic: a single global
+Chebyshev grid on a length-10 domain carries O(n^4)-scaled rows whose
+roundoff drowns the exponentially small right-end data that determines
+the solution, while short panels keep the differentiation scale small
+so the conditioning reduces to the physical sensitivity of the
+right-anchored problem.
 
 The converged solution feeds two independent expressions for
 F([tau, inf)) = det(I - K): the q-functional integral and the
 (sigma - tau)-weighted alternative; both are quadratures over the
-collocation grid with a psi-asymptote tail closure.
+collocation grid with a psi-asymptote tail closure beyond T_match,
+computed once per solution on Gauss-Legendre panels.
 """
 
 import math
@@ -27,10 +28,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .errors import NonConvergent, TailNotResolved
-from .wavefun import psi_second
+from .quadrature import gl_panels
+from .wavefun import psi_second_from
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,6 @@ class SolverConfig:
     panel_degree: int = 20          # Lobatto degree per element
     T_match: Optional[float] = None  # default max(tau_min + 10, 8)
     match_tol: float = 1e-9
-    fixed_point_tol: float = 1e-10
-    max_outer: int = 30
     newton_tol: float = 1e-10       # on the Newton step, not on |F|
     max_newton: int = 40
     integ_tail_tol: float = 1e-10
@@ -50,7 +50,6 @@ class SolverConfig:
 class Panel:
     nodes: np.ndarray     # ascending Lobatto points on [a, b]
     D: np.ndarray         # first-derivative matrix on the panel
-    weights: np.ndarray   # Clenshaw-Curtis weights
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,8 @@ class QSolution:
     qp: np.ndarray              # spectral derivative of q
     qpp: np.ndarray             # RHS of the q-equation on the converged q
     M: np.ndarray               # int_t^inf q^2 on the nodes
-    iterations: int
+    tails: Tuple[float, float, float]  # see _tails, from match_T on
+    iterations: int             # predictor-corrector passes: always 1
     residual_norm: float
 
     def _slices(self):
@@ -126,31 +126,10 @@ def _cheb(n):
     return x, D
 
 
-def _clencurt(n):
-    """Clenshaw-Curtis weights on the n+1 Lobatto points."""
-    theta = np.pi * np.arange(n + 1) / n
-    w = np.zeros(n + 1)
-    ii = np.arange(1, n)
-    v = np.ones(n - 1)
-    if n % 2 == 0:
-        w[0] = w[n] = 1.0 / (n ** 2 - 1)
-        for k in range(1, n // 2):
-            v -= 2.0 * np.cos(2 * k * theta[ii]) / (4 * k ** 2 - 1)
-        v -= np.cos(n * theta[ii]) / (n ** 2 - 1)
-    else:
-        w[0] = w[n] = 1.0 / n ** 2
-        for k in range(1, (n - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2 * k * theta[ii]) / (4 * k ** 2 - 1)
-    w[ii] = 2.0 * v / n
-    return w
-
-
 def _panel(a, b, p):
     x, D = _cheb(p)
     t = 0.5 * (a + b) - 0.5 * (b - a) * x       # ascending since x descends
-    Dt = D * (-2.0 / (b - a))
-    wt = _clencurt(p) * 0.5 * (b - a)
-    return Panel(nodes=t, D=Dt, weights=wt)
+    return Panel(nodes=t, D=D * (-2.0 / (b - a)))
 
 
 def _make_panels(a, b, cfg):
@@ -179,16 +158,50 @@ def _ode_jac(model, t, q):
     return (g * g / ud ** 2) * (model.v0 + t) + (2.0 * g / ud) * (3.0 * q ** 2)
 
 
-def _tail_integral(f, T, tol, cut0=16.0, cut_max=512.0):
-    """int_T^inf f with a doubling truncation cut."""
+def _functional_integrand(model, q, qp, qpp):
+    """q((u0_dot/gamma) q'' - q^3) - (u0_dot/gamma) q'^2, vectorized."""
+    g, ud = model.gamma, model.u0_dot
+    return q * ((ud / g) * qpp - q ** 3) - (ud / g) * qp ** 2
+
+
+TAIL_PANEL = 2.0    # panel length of the tail rule; its check halves it
+TAIL_NODES = 20
+
+
+def _tail_panel_sums(model, T, length, panel_len):
+    """Per-panel sums of psi^2, s psi^2 and the functional integrand on
+    [T, T + length], from one psi and one psi' evaluation.  The panels
+    are laid on [0, length], so that there are exactly length/panel_len."""
+    x, w = gl_panels(0.0, length, TAIL_NODES, panel_len)
+    s = T + x
+    psi = np.asarray(model.psi(s), dtype=float)
+    psip = np.asarray(model.psi_prime(s), dtype=float)
+    psi2 = psi * psi
+    f = np.stack([psi2, s * psi2, _functional_integrand(
+        model, psi, psip, psi_second_from(model, s, psi, psip))])
+    return (f * w).reshape(3, -1, TAIL_NODES).sum(axis=2)
+
+
+def _tails(model, T, tol, cut0=16.0, cut_max=512.0):
+    """int_T^inf of psi^2, s psi^2 and the functional integrand, with q
+    replaced by its psi asymptote.
+
+    The rule covers [T, T + 2 cut], the cut doubling from cut0; a level
+    is accepted when, for all three integrals, the outer half
+    [T + cut, T + 2 cut] adds less than tol and the rule on half-length
+    panels moves the total by less than tol."""
     cut = cut0
-    val, _ = quad(f, T, T + cut, limit=200)
     while cut < cut_max:
-        v2, _ = quad(f, T, T + 2 * cut, limit=200)
-        if abs(v2 - val) < tol:
-            return v2
-        val, cut = v2, 2 * cut
-    raise TailNotResolved("tail integral not resolved below %g" % tol)
+        coarse = _tail_panel_sums(model, T, 2.0 * cut, TAIL_PANEL)
+        fine = _tail_panel_sums(model, T, 2.0 * cut,
+                                0.5 * TAIL_PANEL).sum(axis=1)
+        outer = coarse[:, coarse.shape[1] // 2:].sum(axis=1)
+        if np.all(np.abs(outer) < tol) \
+                and np.all(np.abs(fine - coarse.sum(axis=1)) < tol):
+            return tuple(float(v) for v in fine)
+        cut *= 2.0
+    raise TailNotResolved("tail integrals not resolved below %g by "
+                          "T + %g" % (tol, cut_max))
 
 
 class _System:
@@ -223,7 +236,6 @@ class _System:
         rhs = _ode_rhs(self.model, self.t, q)
         last = len(self.panels) - 1
         for k, (p, s) in enumerate(zip(self.panels, self.slices)):
-            n = p.nodes.size - 1
             loc = (p.D @ (p.D @ q[s])) - rhs[s]
             F[s] = loc
             if k > 0:
@@ -275,19 +287,13 @@ def solve_q(model, tau_min, cfg=None):
     t = sys.t
 
     psi_t = np.asarray(model.psi(t), dtype=float)
-
-    # tail of int q^2 beyond T, closed with the psi asymptote
-    if float(np.max(np.abs(psi_t))) == 0.0:
-        tail_q2 = 0.0
-    else:
-        tail_q2 = _tail_integral(
-            lambda s: float(model.psi(s)) ** 2, T, cfg.integ_tail_tol)
+    tails = _tails(model, T, cfg.integ_tail_tol)
 
     def cumulative_M(q):
         # M' = -q^2 panel-wise, pinned to the running tail at each
         # right edge, swept right to left
         M = np.empty_like(q)
-        acc = tail_q2
+        acc = tails[0]
         for p, s in zip(reversed(panels), reversed(sys.slices)):
             A = p.D.copy()
             b = -q[s] * q[s]
@@ -355,17 +361,7 @@ def solve_q(model, tau_min, cfg=None):
                 break
         return q
 
-    q = psi_t.copy()
-    for outer in range(1, cfg.max_outer + 1):
-        q_new = newton(predict())
-        delta = float(np.max(np.abs(q_new - q)))
-        q = q_new
-        if delta < cfg.fixed_point_tol:
-            break
-    else:
-        raise NonConvergent("outer loop did not settle in %d iterations"
-                            % cfg.max_outer)
-
+    q = newton(predict())
     if abs(q[-1] - psi_t[-1]) > cfg.match_tol:
         raise NonConvergent("boundary match |q - psi|(T) = %.3e"
                             % abs(q[-1] - psi_t[-1]))
@@ -378,26 +374,11 @@ def solve_q(model, tau_min, cfg=None):
         res = max(res, float(np.max(np.abs(loc[1:-1]))))
     return QSolution(tau_min=float(tau_min), match_T=float(T),
                      panels=panels, tau_grid=t, q=q, qp=qp, qpp=qpp, M=M,
-                     iterations=outer, residual_norm=res)
+                     tails=tails, iterations=1, residual_norm=res)
 
 
 # ----------------------------------------------------------------------
 # determinant functionals
-
-def _functional_integrand(model, q, qp, qpp):
-    """q((u0_dot/gamma) q'' - q^3) - (u0_dot/gamma) q'^2, vectorized."""
-    g, ud = model.gamma, model.u0_dot
-    return q * ((ud / g) * qpp - q ** 3) - (ud / g) * qp ** 2
-
-
-def _psi_subst(model, s, kind, tau=0.0):
-    """Tail integrand with q replaced by its psi asymptote."""
-    q = float(model.psi(s))
-    if kind == "functional":
-        return float(_functional_integrand(
-            model, q, float(model.psi_prime(s)), float(psi_second(model, s))))
-    return (s - tau) * (q * q)
-
 
 def det_via_functional(sol, model, tau):
     """F([tau, inf)) from the q-functional integral."""
@@ -407,9 +388,7 @@ def det_via_functional(sol, model, tau):
     f = _functional_integrand(model, sol.q, sol.qp, sol.qpp)
     G = sol.antiderivative(f)
     core = float(G[-1]) - sol.interp(G, tau)
-    tail = _tail_integral(lambda s: _psi_subst(model, s, "functional"),
-                          sol.match_T, 1e-10)
-    return math.exp(core + tail)
+    return math.exp(core + sol.tails[2])
 
 
 def det_via_alternative(sol, model, tau):
@@ -424,8 +403,7 @@ def det_via_alternative(sol, model, tau):
     G0 = sol.antiderivative(h)
     core = (float(G1[-1]) - sol.interp(G1, tau)) \
         - tau * (float(G0[-1]) - sol.interp(G0, tau))
-    tail = _tail_integral(lambda s: _psi_subst(model, s, "alt", tau),
-                          sol.match_T, 1e-10)
+    tail = sol.tails[1] - tau * sol.tails[0]
     return math.exp(-(g / ud) * (core + tail))
 
 

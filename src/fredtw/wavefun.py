@@ -119,16 +119,21 @@ def eval_psi(model, xi):
     return float(v) if np.ndim(xi) == 0 else np.asarray(v)
 
 
-def psi_second(model, xi):
-    """psi''(xi) = (gamma^2/u0_dot^2)((v0 + xi) psi - (u0_ddot/gamma) psi').
+def psi_second_from(model, xi, psi, psi_prime):
+    """psi''(xi) = (gamma^2/u0_dot^2)((v0 + xi) psi - (u0_ddot/gamma) psi')
+    from the values psi(xi), psi'(xi).
 
     This relation is the only source of psi'' anywhere in the library;
     no finite differencing of the model evaluators is ever performed.
     """
-    xi = np.asarray(xi, dtype=float)
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    out = (g * g / ud ** 2) * ((model.v0 + xi) * model.psi(xi)
-                               - (udd / g) * model.psi_prime(xi))
+    return (g * g / ud ** 2) * ((model.v0 + xi) * psi - (udd / g) * psi_prime)
+
+
+def psi_second(model, xi):
+    """psi''(xi) by psi_second_from on one evaluation of psi and psi'."""
+    xi = np.asarray(xi, dtype=float)
+    out = psi_second_from(model, xi, model.psi(xi), model.psi_prime(xi))
     return float(out) if out.ndim == 0 else out
 
 

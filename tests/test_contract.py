@@ -29,6 +29,11 @@ def test_traced_names_are_bound():
             (mod_name, attr)
 
 
+def test_solve_q_reports_iterations(airy_sol):
+    # spans._picard_detail reads int(out.iterations)
+    assert isinstance(airy_sol.iterations, int)
+
+
 def test_model_grid_has_nodes():
     grid = build_grid(half_line(2.0), model=airy_model())
     assert grid.nodes.size > 0

@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import airy as scipy_airy
 
+from fredtw.errors import TailNotResolved
 from fredtw.fredholm import gap_probability, half_line
-from fredtw.twsolver import (SolverConfig, det_via_alternative,
+from fredtw.twsolver import (SolverConfig, _tails, det_via_alternative,
                              det_via_functional, q_ode_residual, solve_q)
-from fredtw.wavefun import airy_model, damped_airy_model, zero_model
+from fredtw.wavefun import WaveModel, airy_model, damped_airy_model, \
+    zero_model
 
 from conftest import endpoint_q
 
@@ -21,7 +25,7 @@ def test_q0_matches_resolvent_oracle(airy_sol):
 
 def test_solution_metadata(airy_sol):
     assert airy_sol.match_T == 8.0
-    assert airy_sol.iterations <= 30
+    assert airy_sol.iterations == 1
     assert airy_sol.residual_norm < 1e-8
 
 
@@ -84,11 +88,62 @@ def test_tw_reduction_same_code_path(airy, airy_sol):
         G0 = sol.antiderivative(h)
         core = (float(G1[-1]) - sol.interp(G1, tau)) \
             - tau * (float(G0[-1]) - sol.interp(G0, tau))
-        from fredtw.twsolver import _psi_subst, _tail_integral
-        tail = _tail_integral(lambda s: _psi_subst(airy, s, "alt", tau),
-                              sol.match_T, 1e-10)
-        tw = math.exp(-(core + tail))
+        int_q2, int_sq2, _ = sol.tails
+        tw = math.exp(-(core + int_sq2 - tau * int_q2))
         assert abs(det_via_alternative(sol, airy, tau) - tw) <= 1e-10
+
+
+def _counting(model):
+    """model whose psi and psi' count their calls, and scalar calls."""
+    calls = {"array": 0, "scalar": 0}
+
+    def counted(f):
+        def g(x):
+            calls["scalar" if np.ndim(x) == 0 else "array"] += 1
+            return f(x)
+        return g
+
+    return replace(model, psi=counted(model.psi),
+                   psi_prime=counted(model.psi_prime)), calls
+
+
+def test_tails_take_one_vectorized_pass(airy):
+    m, calls = _counting(airy)
+    sol = solve_q(m, -4.25)
+    for tau in (-4.25, -2.25, -0.25):
+        det_via_functional(sol, m, tau)
+        det_via_alternative(sol, m, tau)
+    # psi(T) and psi'(T) for the boundary data are the only scalar calls
+    assert calls["scalar"] <= 2
+    assert calls["array"] + calls["scalar"] <= 12
+    m, calls = _counting(airy)
+    _tails(m, 8.0, 1e-10)
+    assert calls == {"array": 4, "scalar": 0}
+
+
+@pytest.mark.parametrize("T", [8.0, 9.68, 12.0])
+def test_tails_match_quad(airy, T):
+    def ai(s):
+        return scipy_airy(s)[0]
+
+    def aip(s):
+        return scipy_airy(s)[1]
+
+    integrands = (lambda s: ai(s) ** 2,
+                  lambda s: s * ai(s) ** 2,
+                  lambda s: ai(s) * (s * ai(s) - ai(s) ** 3) - aip(s) ** 2)
+    for got, f in zip(_tails(airy, T, 1e-10), integrands):
+        ref = quad(f, T, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert abs(got - ref) <= 1e-15
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_tails_refuse_non_decaying():
+    one = WaveModel(psi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                    psi_prime=lambda x: np.zeros_like(
+                        np.asarray(x, dtype=float)))
+    with pytest.raises(TailNotResolved):
+        _tails(one, 8.0, 1e-10)
 
 
 def test_painleve_ii_residual(airy, airy_sol):
