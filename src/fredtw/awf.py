@@ -17,18 +17,16 @@ import numpy as np
 from .errors import PsiTooSmall
 from .fredholm import GridConfig, build_grid, discretize, half_line, resolve
 from .kernel import kernel_row
-from .wavefun import psi_second
+from .wavefun import psi_second_from
 
 FD_STEP = 1e-4
 PSI_FLOOR_FRAC = 1e-6
 
 
-def _psi_samples(model, x, a):
-    if a == 0:
-        return np.asarray(model.psi(x), dtype=float)
-    if a == 1:
-        return np.asarray(model.psi_prime(x), dtype=float)
-    return np.asarray(psi_second(model, x), dtype=float)
+def _psi_jet(model, x):
+    """(psi, psi', psi'') at x from one pair evaluation."""
+    p, pp = (np.asarray(v, dtype=float) for v in model.pair(x))
+    return p, pp, psi_second_from(model, x, p, pp)
 
 
 class AwfTable:
@@ -47,9 +45,9 @@ class AwfTable:
 
         self.chi = np.empty((N + 1, 3, m))
         self.rho_chi = np.empty((N + 1, 3, m))
+        jet = _psi_jet(model, self.grid.nodes)
         for a in range(3):
-            f = _psi_samples(model, self.grid.nodes, a)
-            self.chi[0, a] = resolve(disc, f)
+            self.chi[0, a] = resolve(disc, jet[a])
             self.rho_chi[0, a] = self.chi[0, a]  # rho psi = chi_0 already
         # chi_{n+1,a} = R chi_{n,a} = K_w rho chi_{n,a}
         for n in range(N):
@@ -60,7 +58,7 @@ class AwfTable:
         for a in range(3):
             self.rho_chi[N, a] = resolve(disc, self.chi[N, a])
 
-        psi_nodes = _psi_samples(model, self.grid.nodes, 0)
+        psi_nodes = jet[0]
         w = self.grid.weights
         self.mu = np.array([[float(np.dot(w, psi_nodes * self.chi[n, a]))
                              for a in range(2)] for n in range(N + 1)])
@@ -79,7 +77,7 @@ class AwfTable:
         """chi_{n,a}(xi) off the nodes, by the Nystrom extension."""
         row = self._krow(xi) * self.grid.weights
         if n == 0:
-            return float(_psi_samples(self.model, np.float64(xi), a)) \
+            return float(_psi_jet(self.model, np.float64(xi))[a]) \
                 + float(np.dot(row, self.chi[0, a]))
         return float(np.dot(row, self.rho_chi[n - 1, a]))
 
@@ -362,7 +360,7 @@ def identity_residual(name, model, table, tau, n=None, p=None,
     if name == "MU-IPRO":
         nn = table.N if n is None else n
         w = table.grid.weights
-        psi = _psi_samples(m, table.grid.nodes, 0)
+        psi = np.asarray(m.psi(table.grid.nodes), dtype=float)
         q = table.chi[0, 0]
         r = 0.0
         for a in range(2):

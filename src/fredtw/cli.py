@@ -13,6 +13,7 @@ import configparser
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -65,29 +66,30 @@ def _parse_range(text):
 
 
 def _load_config(path):
-    """Flat sectioned key=value file -> (GridConfig, SolverConfig, seed)."""
+    """Flat sectioned key=value file -> (GridConfig, SolverConfig, seed).
+
+    [grid] and [solver] accept the fields of GridConfig and SolverConfig
+    (keys case-insensitive, int fields read as int, the rest as float);
+    [run] accepts seed.  Any other section or key is an error."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ValueError("cannot read config file %r" % path)
-    gkw, skw = {}, {}
-    if cp.has_section("grid"):
-        for k in ("nodes_per_panel",):
-            if cp.has_option("grid", k):
-                gkw[k] = cp.getint("grid", k)
-        for k in ("tail_tol", "L_max", "L_start", "det_stab_tol",
-                  "max_panel_len"):
-            if cp.has_option("grid", k):
-                gkw[k] = cp.getfloat("grid", k)
-    if cp.has_section("solver"):
-        for k in ("panel_degree", "max_newton"):
-            if cp.has_option("solver", k):
-                skw[k] = cp.getint("solver", k)
-        for k in ("panel_len", "T_match", "match_tol", "newton_tol",
-                  "integ_tail_tol"):
-            if cp.has_option("solver", k):
-                skw[k] = cp.getfloat("solver", k)
-    seed = cp.getint("run", "seed") if cp.has_option("run", "seed") else 0
-    return GridConfig(**gkw), SolverConfig(**skw), seed
+    sections = {"grid": {f.name: f.type for f in fields(GridConfig)},
+                "solver": {f.name: f.type for f in fields(SolverConfig)},
+                "run": {"seed": int}}
+    kw = {sec: {} for sec in sections}
+    for sec in cp.sections():
+        if sec not in sections:
+            raise ValueError("unknown config section [%s]" % sec)
+        names = {k.lower(): k for k in sections[sec]}
+        for key in cp.options(sec):
+            if key not in names:
+                raise ValueError("unknown config key %r in [%s]" % (key, sec))
+            name = names[key]
+            get = cp.getint if sections[sec][name] is int else cp.getfloat
+            kw[sec][name] = get(sec, key)
+    return (GridConfig(**kw["grid"]), SolverConfig(**kw["solver"]),
+            kw["run"].get("seed", 0))
 
 
 def _write_csv(out_path, header_meta, columns, rows):

@@ -67,10 +67,9 @@ def hamiltonian(table, n, tau, route="DIAGONAL"):
     # CLOSED_FORM, n = 1 only
     if n != 1:
         raise ValueError("CLOSED_FORM is available only at n = 1")
-    p = float(m.psi(tau))
+    p, pp = (float(v) for v in m.pair(tau))
     if abs(p) < table.psi_floor:
         raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
-    pp = float(m.psi_prime(tau))
     q, qp, qpp = _q_derivs(m, table, tau)
     corr = (g * udd / ud ** 2) * q * (qp / p - pp * q / (p * p))
     return qp * qp - q * (qpp - (g / ud) * q ** 3 + corr)

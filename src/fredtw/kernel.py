@@ -18,14 +18,19 @@ DELTA_DIAG = 1e-6   # below this separation the CD quotient cancels badly
 X_CAP = 200.0       # truncation cap for the direct-integral oracle
 
 
-def kernel_diag(model, xi):
-    """Exact diagonal value K(xi, xi)."""
-    xi = np.asarray(xi, dtype=float)
+def _diag_from(model, xi, p, pp):
+    """Exact diagonal value K(xi, xi) from the values p = psi(xi),
+    pp = psi'(xi)."""
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    p = model.psi(xi)
-    pp = model.psi_prime(xi)
-    out = (ud / g) * pp * pp - (g / ud) * (model.v0 + xi) * p * p \
+    return (ud / g) * pp * pp - (g / ud) * (model.v0 + xi) * p * p \
         + (udd / ud) * p * pp
+
+
+def kernel_diag(model, xi):
+    """Exact diagonal value K(xi, xi), by _diag_from on one pair
+    evaluation."""
+    xi = np.asarray(xi, dtype=float)
+    out = _diag_from(model, xi, *model.pair(xi))
     return float(out) if np.ndim(xi) == 0 else out
 
 
@@ -39,8 +44,9 @@ def cd_kernel(model, xi, zeta):
     """
     if abs(xi - zeta) <= DELTA_DIAG:
         return kernel_diag(model, 0.5 * (xi + zeta))
-    num = float(model.psi(xi)) * float(model.psi_prime(zeta)) \
-        - float(model.psi_prime(xi)) * float(model.psi(zeta))
+    pxi, ppxi = (float(v) for v in model.pair(xi))
+    pz, ppz = (float(v) for v in model.pair(zeta))
+    num = pxi * ppz - ppxi * pz
     return (model.u0_dot / model.gamma) * num / (xi - zeta)
 
 
@@ -51,14 +57,13 @@ def kernel_matrix(model, nodes):
     pair up to an exact IEEE negation.
     """
     x = np.asarray(nodes, dtype=float)
-    p = np.asarray(model.psi(x), dtype=float)
-    pp = np.asarray(model.psi_prime(x), dtype=float)
+    p, pp = (np.asarray(v, dtype=float) for v in model.pair(x))
     num = p[:, None] * pp[None, :] - pp[:, None] * p[None, :]
     den = x[:, None] - x[None, :]
     np.fill_diagonal(den, 1.0)
     K = (model.u0_dot / model.gamma) * num / den
+    np.fill_diagonal(K, _diag_from(model, x, p, pp))
     near = np.abs(den) <= DELTA_DIAG
-    np.fill_diagonal(near, True)
     if np.any(near):
         ii, jj = np.nonzero(near)
         K[ii, jj] = kernel_diag(model, 0.5 * (x[ii] + x[jj]))
@@ -68,10 +73,8 @@ def kernel_matrix(model, nodes):
 def kernel_row(model, xi, nodes):
     """K(xi, x_j) for a single off-grid xi against many nodes."""
     x = np.asarray(nodes, dtype=float)
-    pxi = float(model.psi(xi))
-    ppxi = float(model.psi_prime(xi))
-    p = np.asarray(model.psi(x), dtype=float)
-    pp = np.asarray(model.psi_prime(x), dtype=float)
+    pxi, ppxi = (float(v) for v in model.pair(xi))
+    p, pp = (np.asarray(v, dtype=float) for v in model.pair(x))
     den = xi - x
     near = np.abs(den) <= DELTA_DIAG
     den[near] = 1.0

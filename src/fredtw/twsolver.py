@@ -61,7 +61,6 @@ class QSolution:
     q: np.ndarray
     qp: np.ndarray              # spectral derivative of q
     qpp: np.ndarray             # RHS of the q-equation on the converged q
-    M: np.ndarray               # int_t^inf q^2 on the nodes
     tails: Tuple[float, float, float]  # see _tails, from match_T on
     iterations: int             # predictor-corrector passes: always 1
     residual_norm: float
@@ -170,12 +169,11 @@ TAIL_NODES = 20
 
 def _tail_panel_sums(model, T, length, panel_len):
     """Per-panel sums of psi^2, s psi^2 and the functional integrand on
-    [T, T + length], from one psi and one psi' evaluation.  The panels
-    are laid on [0, length], so that there are exactly length/panel_len."""
+    [T, T + length], from one pair evaluation.  The panels are laid on
+    [0, length], so that there are exactly length/panel_len."""
     x, w = gl_panels(0.0, length, TAIL_NODES, panel_len)
     s = T + x
-    psi = np.asarray(model.psi(s), dtype=float)
-    psip = np.asarray(model.psi_prime(s), dtype=float)
+    psi, psip = (np.asarray(v, dtype=float) for v in model.pair(s))
     psi2 = psi * psi
     f = np.stack([psi2, s * psi2, _functional_integrand(
         model, psi, psip, psi_second_from(model, s, psi, psip))])
@@ -282,29 +280,11 @@ def solve_q(model, tau_min, cfg=None):
     cfg = cfg or SolverConfig()
     T = cfg.T_match if cfg.T_match is not None else max(tau_min + 10.0, 8.0)
     panels = _make_panels(tau_min, T, cfg)
-    sys = _System(model, panels,
-                  float(model.psi(T)), float(model.psi_prime(T)))
+    sys = _System(model, panels, *(float(v) for v in model.pair(T)))
     t = sys.t
 
     psi_t = np.asarray(model.psi(t), dtype=float)
     tails = _tails(model, T, cfg.integ_tail_tol)
-
-    def cumulative_M(q):
-        # M' = -q^2 panel-wise, pinned to the running tail at each
-        # right edge, swept right to left
-        M = np.empty_like(q)
-        acc = tails[0]
-        for p, s in zip(reversed(panels), reversed(sys.slices)):
-            A = p.D.copy()
-            b = -q[s] * q[s]
-            m = p.nodes.size - 1
-            A[m] = 0.0
-            A[m, m] = 1.0
-            b[m] = acc
-            loc = np.linalg.solve(A, b)
-            M[s] = loc
-            acc = float(loc[0])
-        return M
 
     def predict():
         # backward integration of the ODE from the right-end data.
@@ -365,7 +345,6 @@ def solve_q(model, tau_min, cfg=None):
     if abs(q[-1] - psi_t[-1]) > cfg.match_tol:
         raise NonConvergent("boundary match |q - psi|(T) = %.3e"
                             % abs(q[-1] - psi_t[-1]))
-    M = cumulative_M(q)
     qp = sys.deriv(q)
     qpp = _ode_rhs(model, t, q)
     res = 0.0
@@ -373,7 +352,7 @@ def solve_q(model, tau_min, cfg=None):
         loc = (p.D @ (p.D @ q[s])) - qpp[s]
         res = max(res, float(np.max(np.abs(loc[1:-1]))))
     return QSolution(tau_min=float(tau_min), match_T=float(T),
-                     panels=panels, tau_grid=t, q=q, qp=qp, qpp=qpp, M=M,
+                     panels=panels, tau_grid=t, q=q, qp=qp, qpp=qpp,
                      tails=tails, iterations=1, residual_norm=res)
 
 

@@ -1,6 +1,7 @@
 """
 Wave-function models: the boundary data (psi, psi', gamma, u0_dot, ...)
-that seeds every kernel, plus regularity probes.
+that seeds every kernel, plus regularity probes.  One evaluator, `pair`,
+gives (psi, psi') together: every kernel needs both at each node.
 
 A model optionally carries the full profile (u(x), phi(omega)) so the
 kernel can also be computed by direct x-integration as a cross-check.
@@ -11,15 +12,15 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .airy import airy_ai, airy_ai_prime
+from .airy import airy_ai, airy_ai_pair
 
 
 @dataclass(frozen=True)
 class WaveModel:
-    """Boundary wave-function data.  Evaluators must be pure and accept
-    numpy arrays; the model is immutable after construction."""
-    psi: Callable
-    psi_prime: Callable
+    """Boundary wave-function data.  `pair(xi)` returns (psi(xi),
+    psi'(xi)) from one evaluation; it must be pure and accept numpy
+    arrays.  The model is immutable after construction."""
+    pair: Callable
     gamma: float = 1.0
     u0: float = 0.0
     u0_dot: float = 1.0
@@ -34,6 +35,10 @@ class WaveModel:
             raise ValueError("gamma must be nonzero")
         if self.u0_dot == 0.0:
             raise ValueError("u0_dot must be nonzero")
+
+    def psi(self, xi):
+        """psi(xi) alone, for callers that do not need psi'."""
+        return self.pair(xi)[0]
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,7 @@ def airy_model():
     """The Airy model: psi = Ai, gamma = u0_dot = 1, u0_ddot = v0 = 0.
     Profile u(x) = x, phi = Ai gives the classical Airy kernel."""
     return WaveModel(
-        psi=airy_ai,
-        psi_prime=airy_ai_prime,
+        pair=airy_ai_pair,
         gamma=1.0, u0=0.0, u0_dot=1.0, u0_ddot=0.0, v0=0.0,
         profile=(lambda x: np.asarray(x, dtype=float), airy_ai),
         name="airy",
@@ -78,48 +82,42 @@ def damped_airy_model(u0_ddot=0.3):
         w = np.asarray(w, dtype=float)
         return np.exp(-0.5 * c * w) * airy_ai(w + sh)
 
-    def psi(xi):
-        return phi(xi)
-
-    def psi_prime(xi):
+    def pair(xi):
         xi = np.asarray(xi, dtype=float)
         e = np.exp(-0.5 * c * xi)
-        return e * (airy_ai_prime(xi + sh) - 0.5 * c * airy_ai(xi + sh))
+        a, ap = airy_ai_pair(xi + sh)
+        return e * a, e * (ap - 0.5 * c * a)
 
     def u(x):
         x = np.asarray(x, dtype=float)
         return x + 0.5 * c * x * x
 
-    return WaveModel(psi=psi, psi_prime=psi_prime,
+    return WaveModel(pair=pair,
                      gamma=1.0, u0=0.0, u0_dot=1.0, u0_ddot=c, v0=0.0,
                      profile=(u, phi), name="damped_airy")
 
 
 def zero_model():
     """psi identically zero; useful for trivial-limit checks."""
-    z = lambda xi: np.zeros_like(np.asarray(xi, dtype=float))
-    return WaveModel(psi=z, psi_prime=z, name="zero")
+    def pair(xi):
+        z = np.zeros_like(np.asarray(xi, dtype=float))
+        return z, np.zeros_like(z)
+    return WaveModel(pair=pair, name="zero")
 
 
-def tabulated_model(xi, psi_vals, psi_prime_vals, *, gamma=1.0, u0=0.0,
+def tabulated_model(xi, psi_vals, psip_vals, *, gamma=1.0, u0=0.0,
                     u0_dot=1.0, u0_ddot=0.0, v0=0.0, name="tabulated"):
     """Model backed by cubic interpolation of sampled (xi, psi, psi')."""
     from scipy.interpolate import CubicSpline
     xi = np.asarray(xi, dtype=float)
     sp = CubicSpline(xi, np.asarray(psi_vals, dtype=float))
-    spp = CubicSpline(xi, np.asarray(psi_prime_vals, dtype=float))
-    return WaveModel(psi=lambda x: sp(x), psi_prime=lambda x: spp(x),
+    spp = CubicSpline(xi, np.asarray(psip_vals, dtype=float))
+    return WaveModel(pair=lambda x: (sp(x), spp(x)),
                      gamma=gamma, u0=u0, u0_dot=u0_dot, u0_ddot=u0_ddot,
                      v0=v0, name=name)
 
 
-def eval_psi(model, xi):
-    """psi(xi); scalar in, scalar out."""
-    v = model.psi(np.asarray(xi, dtype=float))
-    return float(v) if np.ndim(xi) == 0 else np.asarray(v)
-
-
-def psi_second_from(model, xi, psi, psi_prime):
+def psi_second_from(model, xi, psi, psip):
     """psi''(xi) = (gamma^2/u0_dot^2)((v0 + xi) psi - (u0_ddot/gamma) psi')
     from the values psi(xi), psi'(xi).
 
@@ -127,13 +125,13 @@ def psi_second_from(model, xi, psi, psi_prime):
     no finite differencing of the model evaluators is ever performed.
     """
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    return (g * g / ud ** 2) * ((model.v0 + xi) * psi - (udd / g) * psi_prime)
+    return (g * g / ud ** 2) * ((model.v0 + xi) * psi - (udd / g) * psip)
 
 
 def psi_second(model, xi):
-    """psi''(xi) by psi_second_from on one evaluation of psi and psi'."""
+    """psi''(xi) by psi_second_from on one pair evaluation."""
     xi = np.asarray(xi, dtype=float)
-    out = psi_second_from(model, xi, model.psi(xi), model.psi_prime(xi))
+    out = psi_second_from(model, xi, *model.pair(xi))
     return float(out) if out.ndim == 0 else out
 
 

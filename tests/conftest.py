@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,14 @@ def endpoint_q(model, tau):
     grid = build_grid(half_line(tau), model=model)
     table = build_awf(model, discretize(model, grid), 0)
     return table.eval_chi(0, 0, tau)
+
+
+def counting(model):
+    """model whose pair evaluator counts its array and scalar calls."""
+    calls = {"array": 0, "scalar": 0}
+
+    def pair(x):
+        calls["scalar" if np.ndim(x) == 0 else "array"] += 1
+        return model.pair(x)
+
+    return replace(model, pair=pair), calls

@@ -8,6 +8,8 @@ from fredtw.errors import PsiTooSmall
 from fredtw.fredholm import build_grid, discretize, half_line
 from fredtw.wavefun import airy_model
 
+from conftest import counting
+
 ETA0_AIRY = 0.033894497993848915  # eta_1(0) = q(0)/Ai(0) - 1, frozen
 
 ALGEBRAIC = ("CLOSURE", "MU01", "MU-SHIFT", "MU-IPRO")
@@ -17,6 +19,14 @@ FD_BASED = ("AWF-DERIV", "AWF-PARAM", "MU00-DOT")
 def test_eta_frozen(airy_table):
     assert airy_table.eta(1, 0.0) == pytest.approx(ETA0_AIRY, abs=1e-9)
     assert airy_table.eta(2, 0.0) == pytest.approx(ETA0_AIRY ** 2, rel=1e-9)
+
+
+def test_build_awf_takes_one_pair_pass(airy, airy_table):
+    m, calls = counting(airy)
+    table = build_awf(m, airy_table.disc, airy_table.N)
+    assert calls == {"array": 1, "scalar": 0}
+    assert np.array_equal(table.chi, airy_table.chi)
+    assert np.array_equal(table.mu, airy_table.mu)
 
 
 def test_chi_order_cap(airy):

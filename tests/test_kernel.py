@@ -6,6 +6,8 @@ from fredtw.kernel import (DELTA_DIAG, cd_kernel, kernel_derivative_residual,
                            kernel_row)
 from fredtw.wavefun import damped_airy_model, zero_model
 
+from conftest import counting
+
 # K(0,0) = Ai'(0)^2 - 0 * Ai(0)^2, frozen from the closed form
 K00_AIRY = 0.06698748377966399
 
@@ -19,6 +21,16 @@ def test_matrix_bitwise_symmetric(airy):
     x = np.linspace(-2.0, 5.0, 60)
     K = kernel_matrix(airy, x)
     assert np.array_equal(K, K.T)
+
+
+def test_matrix_takes_one_pair_pass(airy):
+    """n nodes, one pair evaluation: the exact diagonal is formed from
+    the values the off-diagonal entries already use."""
+    m, calls = counting(airy)
+    x = np.linspace(-2.0, 5.0, 60)
+    K = kernel_matrix(m, x)
+    assert calls == {"array": 1, "scalar": 0}
+    assert np.array_equal(np.diag(K), kernel_diag(airy, x))
 
 
 def test_matrix_matches_pointwise(airy):

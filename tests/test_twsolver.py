@@ -13,7 +13,7 @@ from fredtw.twsolver import (SolverConfig, _tails, det_via_alternative,
 from fredtw.wavefun import WaveModel, airy_model, damped_airy_model, \
     zero_model
 
-from conftest import endpoint_q
+from conftest import counting, endpoint_q
 
 Q0_AIRY = 0.36706155154807796
 
@@ -93,32 +93,18 @@ def test_tw_reduction_same_code_path(airy, airy_sol):
         assert abs(det_via_alternative(sol, airy, tau) - tw) <= 1e-10
 
 
-def _counting(model):
-    """model whose psi and psi' count their calls, and scalar calls."""
-    calls = {"array": 0, "scalar": 0}
-
-    def counted(f):
-        def g(x):
-            calls["scalar" if np.ndim(x) == 0 else "array"] += 1
-            return f(x)
-        return g
-
-    return replace(model, psi=counted(model.psi),
-                   psi_prime=counted(model.psi_prime)), calls
-
-
 def test_tails_take_one_vectorized_pass(airy):
-    m, calls = _counting(airy)
+    m, calls = counting(airy)
     sol = solve_q(m, -4.25)
     for tau in (-4.25, -2.25, -0.25):
         det_via_functional(sol, m, tau)
         det_via_alternative(sol, m, tau)
-    # psi(T) and psi'(T) for the boundary data are the only scalar calls
-    assert calls["scalar"] <= 2
+    # (psi(T), psi'(T)) for the boundary data is the only scalar call
+    assert calls["scalar"] <= 1
     assert calls["array"] + calls["scalar"] <= 12
-    m, calls = _counting(airy)
+    m, calls = counting(airy)
     _tails(m, 8.0, 1e-10)
-    assert calls == {"array": 4, "scalar": 0}
+    assert calls == {"array": 2, "scalar": 0}
 
 
 @pytest.mark.parametrize("T", [8.0, 9.68, 12.0])
@@ -139,9 +125,8 @@ def test_tails_match_quad(airy, T):
 
 
 def test_tails_refuse_non_decaying():
-    one = WaveModel(psi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                    psi_prime=lambda x: np.zeros_like(
-                        np.asarray(x, dtype=float)))
+    one = WaveModel(pair=lambda x: (np.ones_like(np.asarray(x, dtype=float)),
+                                    np.zeros_like(np.asarray(x, dtype=float))))
     with pytest.raises(TailNotResolved):
         _tails(one, 8.0, 1e-10)
 
@@ -171,8 +156,8 @@ def test_psi_zero_guard(airy_sol):
     through it refuses such a model up front, whether or not psi
     changes sign inside the domain."""
     m = damped_airy_model()
-    bad = replace(m, psi=lambda x: np.asarray(np.cos(x), dtype=float),
-                  psi_prime=lambda x: -np.asarray(np.sin(x), dtype=float))
+    bad = replace(m, pair=lambda x: (np.asarray(np.cos(x), dtype=float),
+                                     -np.asarray(np.sin(x), dtype=float)))
     for model in (m, bad):
         with pytest.raises(ValueError, match="u0_ddot"):
             solve_q(model, -1.0)
@@ -204,7 +189,7 @@ def test_damped_resolvent_q_satisfies_closed_ode():
     M = tab.mu[1, 0] + tab.mu[0, 0]  # = int_tau^inf q^2 (shift identity)
     # the closed q-equation for u0_ddot != 0, as the solver once used it
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
-    p, pp = float(m.psi(tau)), float(m.psi_prime(tau))
+    p, pp = (float(v) for v in m.pair(tau))
     rhs = (g * g / ud ** 2) * (m.v0 + tau) * q \
         + (2.0 * g / ud) * (q ** 3 - (g * udd / ud ** 2) * q * M) \
         - (2.0 * g * g * udd ** 2 / ud ** 4) * (q ** 3 / p ** 2 - q ** 2 / p) \
