@@ -16,27 +16,28 @@ import numpy as np
 
 from .errors import PsiTooSmall
 from .fredholm import GridConfig, build_grid, discretize, half_line, resolve
-from .kernel import kernel_row
+from .kernel import _diag_from, _row_from
 from .wavefun import psi_second_from
 
 FD_STEP = 1e-4
 PSI_FLOOR_FRAC = 1e-6
 
 
-def _psi_jet(model, x):
-    """(psi, psi', psi'') at x from one pair evaluation."""
-    p, pp = (np.asarray(v, dtype=float) for v in model.pair(x))
-    return p, pp, psi_second_from(model, x, p, pp)
-
-
 class AwfTable:
     """chi[n][a] node values for n in 0..N, a in {0,1,2}, plus mu[n][a]
     for a in {0,1} and the resolved intermediates needed for off-node
-    Nystrom evaluation.  Immutable after construction."""
+    Nystrom evaluation.  Immutable after construction, apart from two
+    caches: the kernel row and psi-jet per evaluation point, and the
+    tables rebuilt from this one (_rebuild).
+
+    The psi-jet at the nodes comes from the node values disc was built
+    with, so disc must have been discretized from this very model."""
 
     def __init__(self, model, disc, N):
         if N > 8:
             raise ValueError("N is capped at 8")
+        if disc.model is not model:
+            raise ValueError("disc was not discretized from this model")
         self.model = model
         self.disc = disc
         self.grid = disc.grid
@@ -45,7 +46,8 @@ class AwfTable:
 
         self.chi = np.empty((N + 1, 3, m))
         self.rho_chi = np.empty((N + 1, 3, m))
-        jet = _psi_jet(model, self.grid.nodes)
+        jet = (disc.psi, disc.psip,
+               psi_second_from(model, self.grid.nodes, disc.psi, disc.psip))
         for a in range(3):
             self.chi[0, a] = resolve(disc, jet[a])
             self.rho_chi[0, a] = self.chi[0, a]  # rho psi = chi_0 already
@@ -64,21 +66,32 @@ class AwfTable:
                              for a in range(2)] for n in range(N + 1)])
         self.psi_floor = PSI_FLOOR_FRAC * float(np.max(np.abs(psi_nodes)))
         self._rows = {}
+        self._rebuilt = {}
 
     # -- evaluation ----------------------------------------------------
 
     def _krow(self, xi):
+        """(K(xi, x_j) over the nodes, (psi, psi', psi'')(xi)), from one
+        scalar pair evaluation per distinct xi."""
         xi = float(xi)
         if xi not in self._rows:
-            self._rows[xi] = kernel_row(self.model, xi, self.grid.nodes)
+            m, d = self.model, self.disc
+            p, pp = (float(v) for v in m.pair(xi))
+            self._rows[xi] = (
+                _row_from(m, xi, p, pp, self.grid.nodes, d.psi, d.psip),
+                (p, pp, psi_second_from(m, xi, p, pp)))
         return self._rows[xi]
+
+    def jet(self, xi):
+        """(psi, psi', psi'')(xi), from the per-xi cache."""
+        return self._krow(xi)[1]
 
     def eval_chi(self, n, a, xi):
         """chi_{n,a}(xi) off the nodes, by the Nystrom extension."""
-        row = self._krow(xi) * self.grid.weights
+        row, jet = self._krow(xi)
+        row = row * self.grid.weights
         if n == 0:
-            return float(_psi_jet(self.model, np.float64(xi))[a]) \
-                + float(np.dot(row, self.chi[0, a]))
+            return jet[a] + float(np.dot(row, self.chi[0, a]))
         return float(np.dot(row, self.rho_chi[n - 1, a]))
 
     def nu(self, n, a):
@@ -90,7 +103,7 @@ class AwfTable:
 
     def eta(self, n, tau):
         """eta_n(tau) = (q(tau)/psi(tau) - 1)^n, guarded by psi_floor."""
-        p = float(self.model.psi(tau))
+        p = self.jet(tau)[0]
         if abs(p) < self.psi_floor:
             raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
         return (self.eval_chi(0, 0, tau) / p - 1.0) ** n
@@ -199,15 +212,17 @@ def resolvent_matrix(disc, n):
 
 def resolvent_endpoint(disc, model, tau, n_max):
     """R_n(tau, tau) for n = 1..n_max with tau off the grid (endpoint),
-    via Nystrom extension rows of the matrix resolvent."""
-    from .kernel import kernel_diag
+    via Nystrom extension rows of the matrix resolvent.  K(tau, .) and
+    K(tau, tau) come from one pair evaluation at tau and disc's node
+    values."""
     x, w = disc.grid.nodes, disc.grid.weights
-    c = kernel_row(model, tau, x)
+    p, pp = (float(v) for v in model.pair(tau))
+    c = _row_from(model, tau, p, pp, x, disc.psi, disc.psip)
     r1m = resolvent_matrix(disc, 1)
     # r_1(tau, x_j) = K(tau,x_j) + sum_l w_l K(tau,x_l) r_1(x_l,x_j)
     row = c + (c * w) @ r1m
     # r_1(tau,tau) = K(tau,tau) + sum_l w_l K(tau,x_l) r_1(x_l,tau)
-    diag = [kernel_diag(model, tau) + float(np.dot(c * w, row))]
+    diag = [_diag_from(model, tau, p, pp) + float(np.dot(c * w, row))]
     prev = row
     for n in range(2, n_max + 1):
         diag.append(float(np.dot(prev * w, row)))
@@ -222,16 +237,22 @@ IDENTITIES = ("CLOSURE", "ORDER", "AWF-DERIV", "AWF-PARAM", "MU01",
               "MU00-DOT", "MUN0-DOT", "MU-SHIFT", "MU-IPRO", "QN-ODE")
 
 
-def _rebuild(model, iu, ref_table, cfg=None):
-    """Private table on the union iu (the reference union with one
-    endpoint moved), at the reference table's truncation length so FD
-    differences see no tail noise."""
+def _rebuild(iu, ref_table, cfg=None):
+    """Private table of the reference table's model on the union iu (the
+    reference union with one endpoint moved), at the reference table's
+    truncation length so FD differences see no tail noise.  Memoized on
+    the reference table per (iu, cfg): every residual that moves the same
+    endpoint by the same step reads the same table."""
     cfg = cfg or GridConfig()
-    L = ref_table.grid.truncation
-    if L is not None:
-        cfg = replace(cfg, L_start=L)
-    grid = build_grid(iu, cfg)
-    return build_awf(model, discretize(model, grid), ref_table.N)
+    key = (iu, cfg)
+    if key not in ref_table._rebuilt:
+        L = ref_table.grid.truncation
+        if L is not None:
+            cfg = replace(cfg, L_start=L)
+        m = ref_table.model
+        ref_table._rebuilt[key] = build_awf(
+            m, discretize(m, build_grid(iu, cfg)), ref_table.N)
+    return ref_table._rebuilt[key]
 
 
 def closure_residual(table, n, xi):
@@ -254,8 +275,8 @@ def qn_ode_residual(model, table, tau, n=1, h=FD_STEP, cfg=None):
     if n + 2 > table.N:
         raise ValueError("need table.N >= n + 2")
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    tp = _rebuild(model, half_line(tau + h), table, cfg)
-    tm = _rebuild(model, half_line(tau - h), table, cfg)
+    tp = _rebuild(half_line(tau + h), table, cfg)
+    tm = _rebuild(half_line(tau - h), table, cfg)
     chi_pp = (tp.eval_chi(n, 0, tau + h) - 2.0 * table.eval_chi(n, 0, tau)
               + tm.eval_chi(n, 0, tau - h)) / h ** 2
 
@@ -321,8 +342,8 @@ def identity_residual(name, model, table, tau, n=None, p=None,
     if name == "AWF-PARAM":
         nn = (table.N - 1) if n is None else n
         xi = tau + 1.0
-        tp = _rebuild(m, half_line(tau + h), table, cfg)
-        tm = _rebuild(m, half_line(tau - h), table, cfg)
+        tp = _rebuild(half_line(tau + h), table, cfg)
+        tm = _rebuild(half_line(tau - h), table, cfg)
         fd = (tp.eval_chi(nn, 0, xi) - tm.eval_chi(nn, 0, xi)) / (2.0 * h)
         return fd - table.dchi_dj(nn, 0, xi, 0)
 
@@ -333,15 +354,15 @@ def identity_residual(name, model, table, tau, n=None, p=None,
         return table.mu[0, 1] - rhs
 
     if name == "MU00-DOT":
-        tp = _rebuild(m, half_line(tau + h), table, cfg)
-        tm = _rebuild(m, half_line(tau - h), table, cfg)
+        tp = _rebuild(half_line(tau + h), table, cfg)
+        tm = _rebuild(half_line(tau - h), table, cfg)
         fd = (tp.mu[0, 0] - tm.mu[0, 0]) / (2.0 * h)
         return fd + table.eval_chi(0, 0, tau) ** 2
 
     if name == "MUN0-DOT":
         nn = (table.N - 1) if n is None else n
-        tp = _rebuild(m, half_line(tau + h), table, cfg)
-        tm = _rebuild(m, half_line(tau - h), table, cfg)
+        tp = _rebuild(half_line(tau + h), table, cfg)
+        tm = _rebuild(half_line(tau - h), table, cfg)
         fd = (tp.mu[nn, 0] - tm.mu[nn, 0]) / (2.0 * h)
         q = table.eval_chi(0, 0, tau)
         return fd + (nn + 1) * table.eta(nn, tau) * q * q
@@ -360,7 +381,7 @@ def identity_residual(name, model, table, tau, n=None, p=None,
     if name == "MU-IPRO":
         nn = table.N if n is None else n
         w = table.grid.weights
-        psi = np.asarray(m.psi(table.grid.nodes), dtype=float)
+        psi = table.disc.psi
         q = table.chi[0, 0]
         r = 0.0
         for a in range(2):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SingularOperator, TailNotResolved
-from .kernel import kernel_diag, kernel_matrix
+from .kernel import _matrix_from, _node_pair, kernel_diag
 from .quadrature import gl_panels
 
 
@@ -120,20 +120,20 @@ def _tail_bound(model, tau, L):
 def nystrom(iu, cfg=None, model=None, matrix=None):
     """The factorized Nystrom discretization of K on iu.
 
-    matrix(nodes) is the kernel matrix, by default kernel_matrix of the
-    model.  A half-infinite component [tau, inf) is cut at tau + L, with
-    L doubled from cfg.L_start until |F_L - F_2L| < det_stab_tol and,
-    with a model, the diagonal-tail bound int_{tau+L}^{tau+2L} |K(x,x)| dx
-    < tail_tol; the 2L level is carried into the next doubling.  Raises
-    SingularOperator unless det(I - K) on the accepted grid is positive.
+    Each level is discretize(model, grid), or, given matrix(nodes), that
+    bare kernel matrix.  A half-infinite component [tau, inf) is cut at
+    tau + L, with L doubled from cfg.L_start until |F_L - F_2L| <
+    det_stab_tol and, with a model, the diagonal-tail bound
+    int_{tau+L}^{tau+2L} |K(x,x)| dx < tail_tol; the 2L level is carried
+    into the next doubling.  Raises SingularOperator unless det(I - K) on
+    the accepted grid is positive.
     """
     cfg = cfg or GridConfig()
-    if matrix is None:
-        def matrix(x):
-            return kernel_matrix(model, x)
 
     def level(L):
         grid = _grid(iu, cfg, L)
+        if matrix is None:
+            return discretize(model, grid)
         return DiscretizedKernel(grid, matrix(grid.nodes))
 
     if iu.half_infinite:
@@ -163,11 +163,18 @@ def nystrom(iu, cfg=None, model=None, matrix=None):
 
 class DiscretizedKernel:
     """Kernel sampled on a grid with the symmetrized Nystrom matrix
-    Ktil = W^{1/2} K W^{1/2}; det(I - Ktil) = det(I - K W)."""
+    Ktil = W^{1/2} K W^{1/2}; det(I - Ktil) = det(I - K W).
 
-    def __init__(self, grid, K):
+    A kernel built from a WaveModel keeps the model and the node values
+    psi, psip = psi(x), psi'(x) it was built from, so that tables, rows
+    and extensions over the same grid never evaluate them again; all
+    three are None for a bare matrix (e.g. finite-temperature kernels).
+    """
+
+    def __init__(self, grid, K, model=None, psi=None, psip=None):
         self.grid = grid
         self.K = np.asarray(K, dtype=float)
+        self.model, self.psi, self.psip = model, psi, psip
         self.sqrtw = np.sqrt(grid.weights)
         self.Ktil = self.sqrtw[:, None] * self.K * self.sqrtw[None, :]
         self._lu = None
@@ -184,7 +191,10 @@ class DiscretizedKernel:
 
 
 def discretize(model, grid):
-    return DiscretizedKernel(grid, kernel_matrix(model, grid.nodes))
+    """K of the model on the grid, from one pair pass over its nodes."""
+    p, pp = _node_pair(model, grid.nodes)
+    return DiscretizedKernel(grid, _matrix_from(model, grid.nodes, p, pp),
+                             model, p, pp)
 
 
 def discretize_matrix(K, grid):

@@ -31,14 +31,14 @@ class HamiltonianEval:
     route: str
 
 
-def _q_derivs(model, table, tau, h=FD_STEP, cfg=None):
+def _q_derivs(table, tau, h=FD_STEP, cfg=None):
     """(q, q', q'') at the endpoint: q' is the total derivative from the
     identity machinery, q'' a centered difference of q over rebuilt
     tables (independent of the identity under test)."""
     q = table.eval_chi(0, 0, tau)
     qp = table.chi_total_deriv(0, 0)
-    tp = _rebuild(model, half_line(tau + h), table, cfg)
-    tm = _rebuild(model, half_line(tau - h), table, cfg)
+    tp = _rebuild(half_line(tau + h), table, cfg)
+    tm = _rebuild(half_line(tau - h), table, cfg)
     qpp = (tp.eval_chi(0, 0, tau + h) - 2.0 * q
            + tm.eval_chi(0, 0, tau - h)) / h ** 2
     return q, qp, qpp
@@ -67,10 +67,10 @@ def hamiltonian(table, n, tau, route="DIAGONAL"):
     # CLOSED_FORM, n = 1 only
     if n != 1:
         raise ValueError("CLOSED_FORM is available only at n = 1")
-    p, pp = (float(v) for v in m.pair(tau))
+    p, pp, _ = table.jet(tau)
     if abs(p) < table.psi_floor:
         raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
-    q, qp, qpp = _q_derivs(m, table, tau)
+    q, qp, qpp = _q_derivs(table, tau)
     corr = (g * udd / ud ** 2) * q * (qp / p - pp * q / (p * p))
     return qp * qp - q * (qpp - (g / ud) * q ** 3 + corr)
 
@@ -109,11 +109,11 @@ def h1_derivative_residual(model, table, tau, h=FD_STEP, cfg=None):
     -(gamma^2/u0_dot^2)(q^2 + (u0_ddot/gamma)(2q/psi - 1) H_1)."""
     m = model
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
-    p = float(m.psi(tau))
+    p = table.jet(tau)[0]
     if udd != 0.0 and abs(p) < table.psi_floor:
         raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
-    tp = _rebuild(m, half_line(tau + h), table, cfg)
-    tm = _rebuild(m, half_line(tau - h), table, cfg)
+    tp = _rebuild(half_line(tau + h), table, cfg)
+    tm = _rebuild(half_line(tau - h), table, cfg)
     fd = (hamiltonian(tp, 1, tau + h, "DIAGONAL")
           - hamiltonian(tm, 1, tau - h, "DIAGONAL")) / (2.0 * h)
     q = table.eval_chi(0, 0, tau)

@@ -50,14 +50,13 @@ def cd_kernel(model, xi, zeta):
     return (model.u0_dot / model.gamma) * num / (xi - zeta)
 
 
-def kernel_matrix(model, nodes):
-    """K(xi_i, xi_j) for all node pairs, vectorized.
+def _matrix_from(model, x, p, pp):
+    """K(x_i, x_j) for all node pairs from the node values p = psi(x),
+    pp = psi'(x).
 
     Bit-for-bit symmetric: every product is formed once per unordered
     pair up to an exact IEEE negation.
     """
-    x = np.asarray(nodes, dtype=float)
-    p, pp = (np.asarray(v, dtype=float) for v in model.pair(x))
     num = p[:, None] * pp[None, :] - pp[:, None] * p[None, :]
     den = x[:, None] - x[None, :]
     np.fill_diagonal(den, 1.0)
@@ -70,11 +69,9 @@ def kernel_matrix(model, nodes):
     return K
 
 
-def kernel_row(model, xi, nodes):
-    """K(xi, x_j) for a single off-grid xi against many nodes."""
-    x = np.asarray(nodes, dtype=float)
-    pxi, ppxi = (float(v) for v in model.pair(xi))
-    p, pp = (np.asarray(v, dtype=float) for v in model.pair(x))
+def _row_from(model, xi, pxi, ppxi, x, p, pp):
+    """K(xi, x_j) for a single off-grid xi against many nodes, from the
+    values pxi, ppxi = psi(xi), psi'(xi) and p, pp = psi(x), psi'(x)."""
     den = xi - x
     near = np.abs(den) <= DELTA_DIAG
     den[near] = 1.0
@@ -82,6 +79,25 @@ def kernel_row(model, xi, nodes):
     if np.any(near):
         row[near] = kernel_diag(model, 0.5 * (xi + x[near]))
     return row
+
+
+def _node_pair(model, x):
+    """(psi(x), psi'(x)) as float arrays, from one pair evaluation."""
+    return tuple(np.asarray(v, dtype=float) for v in model.pair(x))
+
+
+def kernel_matrix(model, nodes):
+    """K(xi_i, xi_j) for all node pairs, by _matrix_from on one pair
+    evaluation."""
+    x = np.asarray(nodes, dtype=float)
+    return _matrix_from(model, x, *_node_pair(model, x))
+
+
+def kernel_row(model, xi, nodes):
+    """K(xi, x_j) for a single off-grid xi against many nodes."""
+    x = np.asarray(nodes, dtype=float)
+    pxi, ppxi = (float(v) for v in model.pair(xi))
+    return _row_from(model, xi, pxi, ppxi, x, *_node_pair(model, x))
 
 
 def kernel_direct(model, xi, zeta, tol=1e-10):

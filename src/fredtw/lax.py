@@ -167,7 +167,7 @@ def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP, cfg=None):
         raise ValueError("xi must stay away from the endpoints")
     X0 = trunc.X(xi)
     if which == "TAU_EQ":
-        tp, tm = (_rebuild(trunc.model, iu, trunc.table, cfg)
+        tp, tm = (_rebuild(iu, trunc.table, cfg)
                   for iu in _moved(trunc, j, h))
         fd = (trunc.X(xi, tp) - trunc.X(xi, tm)) / (2.0 * h)
         res = fd + (trunc.A[j] @ X0) / (xi - trunc.taus[j])
@@ -193,7 +193,7 @@ def schlesinger_residual(trunc, i, j, h=FD_STEP, cfg=None):
     diagnostic.
     """
     N = trunc.N
-    Ap, Am = (build_A(_rebuild(trunc.model, iu, trunc.table, cfg),
+    Ap, Am = (build_A(_rebuild(iu, trunc.table, cfg),
                       trunc.parities[i], N, tau=iu.finite_endpoints[i])
               for iu in _moved(trunc, j, h))
     fd = (Ap - Am) / (2.0 * h)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from fredtw.awf import (IDENTITIES, build_awf, identity_residual,
+from fredtw.awf import (IDENTITIES, _rebuild, build_awf, identity_residual,
                         qn_ode_residual, resolvent_endpoint,
                         resolvent_kernel, resolvent_matrix)
 from fredtw.errors import PsiTooSmall
-from fredtw.fredholm import build_grid, discretize, half_line
-from fredtw.wavefun import airy_model
+from fredtw.fredholm import (GridConfig, build_grid, discretize,
+                             discretize_matrix, half_line)
+from fredtw.kernel import kernel_row
+from fredtw.wavefun import airy_model, damped_airy_model
 
 from conftest import counting
 
@@ -22,11 +24,55 @@ def test_eta_frozen(airy_table):
 
 
 def test_build_awf_takes_one_pair_pass(airy, airy_table):
+    """discretize makes the one pair pass over the nodes; the table reads
+    its psi-jet from the disc."""
     m, calls = counting(airy)
-    table = build_awf(m, airy_table.disc, airy_table.N)
+    disc = discretize(m, airy_table.grid)
+    assert calls == {"array": 1, "scalar": 0}
+    table = build_awf(m, disc, airy_table.N)
     assert calls == {"array": 1, "scalar": 0}
     assert np.array_equal(table.chi, airy_table.chi)
     assert np.array_equal(table.mu, airy_table.mu)
+
+
+def test_build_awf_refuses_a_foreign_disc(airy, airy_table):
+    for model in (damped_airy_model(), airy_model()):
+        with pytest.raises(ValueError):
+            build_awf(model, airy_table.disc, 1)
+    bare = discretize_matrix(airy_table.disc.K, airy_table.grid)
+    with pytest.raises(ValueError):
+        build_awf(airy, bare, 1)
+
+
+def test_eval_chi_takes_one_scalar_pair_per_xi(airy, airy_table):
+    m, calls = counting(airy)
+    table = build_awf(m, discretize(m, airy_table.grid), airy_table.N)
+    calls.update(array=0, scalar=0)
+    for n in range(table.N + 1):
+        for a in range(3):
+            assert table.eval_chi(n, a, 0.25) \
+                == airy_table.eval_chi(n, a, 0.25)
+    assert calls == {"array": 0, "scalar": 1}
+    assert table.eta(2, 0.25) == airy_table.eta(2, 0.25)
+    assert calls == {"array": 0, "scalar": 1}
+
+
+def test_cached_row_is_kernel_row(airy, airy_table):
+    for xi in (0.0, 0.25, 3.5):
+        row, jet = airy_table._krow(xi)
+        assert np.array_equal(row, kernel_row(airy, xi, airy_table.grid.nodes))
+        assert jet[:2] == tuple(float(v) for v in airy.pair(xi))
+
+
+def test_rebuild_is_memoized(airy_table):
+    iu = half_line(1e-4)
+    t = _rebuild(iu, airy_table)
+    assert _rebuild(iu, airy_table) is t
+    assert _rebuild(iu, airy_table, GridConfig()) is t
+    assert _rebuild(half_line(-1e-4), airy_table) is not t
+    assert _rebuild(iu, airy_table, GridConfig(nodes_per_panel=20)) is not t
+    assert t.model is airy_table.model
+    assert t.grid.truncation == airy_table.grid.truncation
 
 
 def test_chi_order_cap(airy):

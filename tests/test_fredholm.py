@@ -94,13 +94,13 @@ def test_gap_reuses_the_accepted_discretization(airy, monkeypatch):
     """The L-doubling search hands back the factorized kernel it accepted:
     F on [0, inf) costs the L and 2L builds of the one level tried."""
     calls = []
-    inner = fredholm.kernel_matrix
+    inner = fredholm.discretize
 
-    def counting(model, nodes):
-        calls.append(nodes.size)
-        return inner(model, nodes)
+    def counting(model, grid):
+        calls.append(grid.nodes.size)
+        return inner(model, grid)
 
-    monkeypatch.setattr(fredholm, "kernel_matrix", counting)
+    monkeypatch.setattr(fredholm, "discretize", counting)
     F = gap_probability(airy, half_line(0.0))
     assert len(calls) == 2
     assert F == pytest.approx(F0_AIRY, abs=1e-9)

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from fredtw import awf, cli
 from fredtw.fredholm import IntervalUnion
 from fredtw.lax import (build_A, build_B, build_truncation,
                         commutator_AA_diag, commutator_BA_diag, _comm,
@@ -136,3 +139,20 @@ def test_measured_helper():
     assert measured(v, 4).size == 6
     M = np.ones((10, 10))
     assert measured(M, 4).shape == (6, 6)
+
+
+def test_lax_builds_each_moved_table_once(monkeypatch):
+    """The tau-equations and the nine Schlesinger residuals move each of
+    the three endpoints by +-h: six moved unions, one table each."""
+    built = []
+    inner = awf.discretize
+
+    def counting(model, grid):
+        built.append(grid.iu)
+        return inner(model, grid)
+
+    monkeypatch.setattr(awf, "discretize", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["lax", "--endpoints", "0,1,2", "--N", "4"]) == 0
+    assert len(built) == 6
+    assert len(set(built)) == 6

@@ -182,8 +182,8 @@ def test_damped_resolvent_q_satisfies_closed_ode():
     tab = build_awf(m, discretize(m, grid), 1)
     q = tab.eval_chi(0, 0, tau)
     qp = tab.chi_total_deriv(0, 0)
-    tp = _rebuild(m, half_line(tau + h), tab)
-    tm = _rebuild(m, half_line(tau - h), tab)
+    tp = _rebuild(half_line(tau + h), tab)
+    tm = _rebuild(half_line(tau - h), tab)
     qpp = (tp.eval_chi(0, 0, tau + h) - 2.0 * q
            + tm.eval_chi(0, 0, tau - h)) / h ** 2
     M = tab.mu[1, 0] + tab.mu[0, 0]  # = int_tau^inf q^2 (shift identity)
