@@ -14,7 +14,11 @@ Two regimes:
   truncated series is accurate to ~1e-15 relative, so the two branches
   overlap far inside the target tolerance.
 
-Everything is vectorized over numpy arrays; scalars in, scalars out.
+Everything is vectorized over numpy arrays; scalars in, scalars out.  A
+scalar inside the seam runs the same series, operation for operation, on
+Python floats: a 1-element array pays numpy's per-call overhead on each
+of the ~200 double-double operations per term, and costs about as much as
+a 40-point array.  NaN in gives NaN out.
 """
 
 import numpy as np
@@ -89,17 +93,20 @@ def _dd_div_d(x, d):
 #   g = sum_k 3^k (2/3)_k x^{3k+1} / (3k+1)!
 
 def _series_branch(x):
-    zero = np.zeros_like(x)
+    """(Ai, Ai') for a float or an ndarray with |x| <= SEAM; the same
+    operations in the same order either way."""
+    zero = 0.0 * abs(x)                   # +0.0, as float or array
+    one = zero + 1.0
     x3 = _dd_mul_d(_two_prod(x, x), x)
 
-    tf = (np.ones_like(x), zero)          # f terms, k = 0 up
-    tg = (x.copy(), zero)                 # g terms
+    tf = (one, zero)                      # f terms, k = 0 up
+    tg = (x * 1.0, zero)                  # g terms (a copy; keeps -0.0)
     x2 = _two_prod(x, x)
     tfp = (x2[0] / 2.0, x2[1] / 2.0)      # f' terms, k = 1 up
-    tgp = (np.ones_like(x), zero)         # g' terms, k = 0 up
+    tgp = (one, zero)                     # g' terms, k = 0 up
 
     f, g, gp = tf, tg, tgp
-    fp = (zero.copy(), zero.copy())
+    fp = (zero, zero)
     for k in range(1, _N_SERIES):
         tf = _dd_div_d(_dd_mul(tf, x3), float((3 * k - 1) * (3 * k)))
         tg = _dd_div_d(_dd_mul(tg, x3), float((3 * k) * (3 * k + 1)))
@@ -113,7 +120,7 @@ def _series_branch(x):
         g = _dd_add(g, tg)
         fp = _dd_add(fp, tfp)
         gp = _dd_add(gp, tgp)
-        if k % 8 == 0 and np.all(np.abs(tf[0]) < 1e-45 * (1.0 + np.abs(f[0]))):
+        if k % 8 == 0 and np.all(abs(tf[0]) < 1e-45 * (1.0 + abs(f[0]))):
             break
 
     ai = _dd_add(_dd_mul(_C1, f), _dd_mul(_dd_mul_d(_C2, -1.0), g))
@@ -201,24 +208,35 @@ def _ai_both(x):
         ai[pos], aip[pos] = _asymp_pos(x[pos])
     if np.any(neg):
         ai[neg], aip[neg] = _asymp_neg(x[neg])
+    # no branch takes NaN: NaN in, NaN out.  Written last, so ai and aip
+    # stay untouched while the series' temporaries are live (peak RSS).
+    nan = np.isnan(x)
+    ai[nan] = aip[nan] = np.nan
     return ai, aip
+
+
+def _pair(x):
+    """(Ai(x), Ai'(x)): Python floats for a scalar, arrays of x's shape
+    otherwise.  A scalar inside the seam runs the series on floats."""
+    if np.ndim(x) == 0:
+        if abs(x) <= SEAM:
+            return _series_branch(float(x))
+        a, ap = _ai_both(np.atleast_1d(x))
+        return float(a[0]), float(ap[0])
+    a, ap = _ai_both(x)
+    return a.reshape(np.shape(x)), ap.reshape(np.shape(x))
 
 
 def airy_ai(x):
     """Airy function Ai(x); scalar or ndarray."""
-    a, _ = _ai_both(np.atleast_1d(x))
-    return float(a[0]) if np.ndim(x) == 0 else a.reshape(np.shape(x))
+    return _pair(x)[0]
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x); scalar or ndarray."""
-    _, ap = _ai_both(np.atleast_1d(x))
-    return float(ap[0]) if np.ndim(x) == 0 else ap.reshape(np.shape(x))
+    return _pair(x)[1]
 
 
 def airy_ai_pair(x):
     """(Ai(x), Ai'(x)) evaluated in a single pass."""
-    a, ap = _ai_both(np.atleast_1d(x))
-    if np.ndim(x) == 0:
-        return float(a[0]), float(ap[0])
-    return a.reshape(np.shape(x)), ap.reshape(np.shape(x))
+    return _pair(x)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fredtw import airy_model, build_awf, build_grid, discretize, half_line
+from fredtw import airy_model, build_awf, half_line, nystrom
 from fredtw import solve_q
 
 
@@ -21,15 +21,13 @@ def airy_sol(airy):
 @pytest.fixture(scope="session")
 def airy_table(airy):
     """Order-4 AWF table for the Airy model on [0, inf)."""
-    grid = build_grid(half_line(0.0), model=airy)
-    return build_awf(airy, discretize(airy, grid), 4)
+    return build_awf(airy, nystrom(half_line(0.0), model=airy), 4)
 
 
 def endpoint_q(model, tau):
     """Independent oracle for q(tau) = [(I - K_[tau,inf))^{-1} psi](tau):
     a fresh Nystrom resolvent build on the half-line starting at tau."""
-    grid = build_grid(half_line(tau), model=model)
-    table = build_awf(model, discretize(model, grid), 0)
+    table = build_awf(model, nystrom(half_line(tau), model=model), 0)
     return table.eval_chi(0, 0, tau)
 
 

@@ -14,11 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fredtw import (GridConfig, IntervalUnion, build_awf, build_grid,
-                    build_truncation, discretize, gap_probability,
-                    half_line, identity_residual, lax_system_residual,
-                    qn_ode_residual, schlesinger_mask, schlesinger_residual,
-                    solve_q)
+from fredtw import (GridConfig, IntervalUnion, build_awf, build_truncation,
+                    gap_probability, half_line, identity_residual,
+                    lax_system_residual, nystrom, qn_ode_residual,
+                    schlesinger_mask, schlesinger_residual, solve_q)
 from fredtw.hamiltonian import (h1_derivative_residual, hamiltonian,
                                 hamiltonian_scaling_residual,
                                 logdet_link_residual)
@@ -109,8 +108,7 @@ def _registry_sweep(airy, names, with_qn=False):
     worst = {n: 0.0 for n in names}
     qn = 0.0
     for tau in (-1.0, 0.0, 1.0, 2.0):
-        grid = build_grid(half_line(tau), model=airy)
-        table = build_awf(airy, discretize(airy, grid), 4)
+        table = build_awf(airy, nystrom(half_line(tau), model=airy), 4)
         for n in names:
             worst[n] = max(worst[n],
                            abs(identity_residual(n, airy, table, tau)))

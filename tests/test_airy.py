@@ -1,0 +1,92 @@
+"""The Airy engine's entry points: a scalar inside the seam runs the
+double-double series on Python floats, bit for bit the 1-element array
+path; everything else goes through the array path; NaN gives NaN."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fredtw import airy
+from fredtw.airy import SEAM, airy_ai, airy_ai_pair, airy_ai_prime
+
+ENTRY_POINTS = (airy_ai, airy_ai_prime, airy_ai_pair)
+
+SEAM_EDGES = (0.0, -0.0, SEAM, -SEAM,
+              np.nextafter(SEAM, 0.0), np.nextafter(-SEAM, 0.0))
+INSIDE = np.concatenate([np.linspace(-SEAM, SEAM, 4001), SEAM_EDGES])
+BEYOND = (np.nextafter(SEAM, np.inf), np.nextafter(-SEAM, -np.inf),
+          9.5, -9.5, 12.0, -12.0, 30.0, -30.0)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _array_path(x):
+    """(Ai, Ai') of x through a 1-element array."""
+    a, ap = airy_ai_pair(np.array([x]))
+    return a[0], ap[0]
+
+
+@pytest.fixture(scope="module")
+def inside_reference():
+    return [_array_path(float(x)) for x in INSIDE]
+
+
+@pytest.mark.parametrize("as_input", [float, np.float64, np.array],
+                         ids=["float", "float64", "0-d array"])
+def test_scalar_is_the_array_path_bit_for_bit(inside_reference, as_input):
+    for x, (a_ref, ap_ref) in zip(INSIDE, inside_reference):
+        a, ap = airy_ai_pair(as_input(float(x)))
+        assert type(a) is float and type(ap) is float
+        assert (_bits(a), _bits(ap)) == (_bits(a_ref), _bits(ap_ref)), x
+
+
+def test_scalar_inside_the_seam_skips_the_array_path(monkeypatch):
+    def refuse(x):
+        raise AssertionError("scalar reached the array path")
+
+    monkeypatch.setattr(airy, "_ai_both", refuse)
+    for x in SEAM_EDGES + (1.25, -3.0, 8.9):
+        a, ap = airy_ai_pair(x)
+        assert airy_ai(x) == a and airy_ai_prime(x) == ap
+        assert type(airy_ai(np.float64(x))) is float
+
+
+def test_entry_points_do_not_nest(monkeypatch):
+    """Each public function answers on its own, so a tracer that wraps
+    all three counts one call per call."""
+    x = np.array([-12.0, 1.0, 12.0])
+    expected = [f(x) for f in ENTRY_POINTS]
+    for name in ("airy_ai", "airy_ai_prime", "airy_ai_pair"):
+        monkeypatch.setattr(airy, name, None)
+    for f, ref in zip(ENTRY_POINTS, expected):
+        assert np.array_equal(f(x), ref)
+        f(1.25)
+
+
+def test_scalar_beyond_the_seam_is_the_array_path():
+    for x in BEYOND:
+        a, ap = airy_ai_pair(x)
+        assert type(a) is float and type(ap) is float
+        assert (_bits(a), _bits(ap)) == tuple(map(_bits, _array_path(x)))
+        assert airy_ai(x) == a and airy_ai_prime(x) == ap
+
+
+def test_nan_in_nan_out():
+    nan = float("nan")
+    for f in (airy_ai, airy_ai_prime):
+        v = f(nan)
+        assert type(v) is float and math.isnan(v)
+    assert all(math.isnan(v) for v in airy_ai_pair(np.float64(nan)))
+
+    x = np.array([1.0, nan, 2.0, -12.0, nan, 12.0])
+    finite = ~np.isnan(x)
+    a, ap = airy_ai_pair(x)
+    a_ref, ap_ref = airy_ai_pair(x[finite])
+    for got, ref in ((a, a_ref), (ap, ap_ref)):
+        assert np.isnan(got[~finite]).all()
+        assert np.array_equal(got[finite], ref)
+    assert np.array_equal(airy_ai(x), a, equal_nan=True)
+    assert np.array_equal(airy_ai_prime(x), ap, equal_nan=True)

@@ -5,8 +5,8 @@ from fredtw.awf import (IDENTITIES, _rebuild, build_awf, identity_residual,
                         qn_ode_residual, resolvent_endpoint,
                         resolvent_kernel, resolvent_matrix)
 from fredtw.errors import PsiTooSmall
-from fredtw.fredholm import (GridConfig, build_grid, discretize,
-                             discretize_matrix, half_line)
+from fredtw.fredholm import (GridConfig, discretize, discretize_matrix,
+                             half_line, nystrom)
 from fredtw.kernel import kernel_row
 from fredtw.wavefun import airy_model, damped_airy_model
 
@@ -76,9 +76,9 @@ def test_rebuild_is_memoized(airy_table):
 
 
 def test_chi_order_cap(airy):
-    grid = build_grid(half_line(0.0), model=airy)
+    disc = nystrom(half_line(0.0), model=airy)
     with pytest.raises(ValueError):
-        build_awf(airy, discretize(airy, grid), 9)
+        build_awf(airy, disc, 9)
 
 
 def test_algebraic_identities(airy, airy_table):
@@ -108,8 +108,7 @@ def test_qn_ode_at_origin(airy, airy_table):
            "relation; with the true (FD) mu-dot the residual drops to "
            "7e-9; see notes/decisions.md")
 def test_qn_ode_left_of_origin(airy):
-    grid = build_grid(half_line(-1.0), model=airy)
-    table = build_awf(airy, discretize(airy, grid), 4)
+    table = build_awf(airy, nystrom(half_line(-1.0), model=airy), 4)
     assert abs(qn_ode_residual(airy, table, -1.0, n=1)) < 1e-5
 
 
@@ -159,7 +158,6 @@ def test_resolvent_diag_vs_matrix_oracle(airy, airy_table):
 
 def test_eta_guard():
     m = airy_model()
-    grid = build_grid(half_line(0.0), model=m)
-    table = build_awf(m, discretize(m, grid), 1)
+    table = build_awf(m, nystrom(half_line(0.0), model=m), 1)
     with pytest.raises(PsiTooSmall):
         table.eta(1, 7.9)  # Ai is far below the floor there

@@ -5,9 +5,9 @@ import pytest
 
 from fredtw import fredholm
 from fredtw.errors import SingularOperator
-from fredtw.fredholm import (GridConfig, IntervalUnion, build_grid,
-                             discretize, fredholm_det, fredholm_series,
-                             gap_probability, half_line, resolve)
+from fredtw.fredholm import (GridConfig, IntervalUnion, fredholm_det,
+                             fredholm_series, gap_probability, half_line,
+                             nystrom, resolve)
 from fredtw.wavefun import zero_model
 
 # Tracy-Widom GUE value F(0), frozen from an mpmath quadrature oracle
@@ -52,8 +52,8 @@ def test_series_vs_lu_determinant(airy):
 
 
 def test_resolve_endpoint_value(airy):
-    grid = build_grid(half_line(0.0), model=airy)
-    disc = discretize(airy, grid)
+    disc = nystrom(half_line(0.0), model=airy)
+    grid = disc.grid
     q = resolve(disc, airy.psi(grid.nodes))
     # Nystrom extension of the solve back to the endpoint
     from fredtw.kernel import kernel_row
@@ -79,8 +79,7 @@ def test_zero_model_gap():
 
 
 def test_det_result_fields(airy):
-    grid = build_grid(half_line(0.0), model=airy)
-    res = fredholm_det(discretize(airy, grid))
+    res = fredholm_det(nystrom(half_line(0.0), model=airy))
     assert res.sign == 1.0
     assert res.value == pytest.approx(math.exp(res.log_abs))
 

@@ -5,7 +5,7 @@ from fredtw.hamiltonian import (ROUTES, h1_derivative_residual, hamiltonian,
                                 hamiltonian_scaling_residual,
                                 logdet_link_residual)
 from fredtw.awf import build_awf
-from fredtw.fredholm import build_grid, discretize, half_line
+from fredtw.fredholm import half_line, nystrom
 from fredtw.wavefun import zero_model
 
 # H_1(tau) frozen from the matrix-resolvent route at reference grids
@@ -15,8 +15,7 @@ H1_AIRY = {-1.0: 0.35374863745, 0.0: 0.069091380709,
 
 def test_h1_frozen_values(airy):
     for tau, ref in H1_AIRY.items():
-        grid = build_grid(half_line(tau), model=airy)
-        table = build_awf(airy, discretize(airy, grid), 1)
+        table = build_awf(airy, nystrom(half_line(tau), model=airy), 1)
         assert hamiltonian(table, 1, tau, "DIAGONAL") == pytest.approx(
             ref, rel=1e-8)
 
@@ -71,6 +70,5 @@ def test_scaling_trivial_cases(airy, airy_table):
     assert hamiltonian_scaling_residual(airy_table, 1, 0.0) == 0.0
     # the zero model carries zero Hamiltonians at every order
     m = zero_model()
-    grid = build_grid(half_line(0.0), model=m)
-    table = build_awf(m, discretize(m, grid), 3)
+    table = build_awf(m, nystrom(half_line(0.0), model=m), 3)
     assert hamiltonian_scaling_residual(table, 2, 0.0) == 0.0

@@ -177,9 +177,8 @@ def test_damped_resolvent_q_satisfies_closed_ode():
     m = damped_airy_model()
     tau, h = -1.0, 1e-4
     from fredtw.awf import build_awf, _rebuild
-    from fredtw.fredholm import build_grid, discretize
-    grid = build_grid(half_line(tau), model=m)
-    tab = build_awf(m, discretize(m, grid), 1)
+    from fredtw.fredholm import nystrom
+    tab = build_awf(m, nystrom(half_line(tau), model=m), 1)
     q = tab.eval_chi(0, 0, tau)
     qp = tab.chi_total_deriv(0, 0)
     tp = _rebuild(half_line(tau + h), tab)

@@ -24,6 +24,8 @@ GOLDEN = (
     ("lax", "--endpoints", "0,1,2", "--N", "4"),
     ("hamiltonian", "--tau", "0.5", "--n", "3"),
     ("verify", "--tau", "-1", "--model", "damped"),
+    ("eval-kernel", "--pairs", "50", "--lo", "-9", "--hi", "9"),
+    ("eval-kernel", "--model", "damped", "--pairs", "50"),
 )
 THREADS = "1"
 
