@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import PsiTooSmall
-from .fredholm import GridConfig, build_grid, discretize, half_line, resolve
+from .fredholm import build_grid, discretize, resolve
 from .kernel import _diag_from, _row_from
 from .wavefun import psi_second_from
 
@@ -28,7 +28,7 @@ class AwfTable:
     for a in {0,1} and the resolved intermediates needed for off-node
     Nystrom evaluation.  Immutable after construction, apart from two
     caches: the kernel row and psi-jet per evaluation point, and the
-    tables rebuilt from this one (_rebuild).
+    tables rebuilt from this one (moved, _rebuild).
 
     The psi-jet at the nodes comes from the node values disc was built
     with, so disc must have been discretized from this very model."""
@@ -110,18 +110,14 @@ class AwfTable:
 
     # -- resolvent kernels --------------------------------------------
 
-    def resolvent_xy(self, n, xi, zeta, ordering="standard"):
+    def resolvent_xy(self, n, xi, zeta):
         """R_n(xi, zeta) for xi != zeta via the Christoffel-Darboux sum
         over chi products; zeta is assumed inside I."""
         g, ud = self.model.gamma, self.model.u0_dot
         s = 0.0
         for k in range(1, n + 1):
-            if ordering == "standard":
-                s += self.eval_chi(n - k, 0, xi) * self.eval_chi(k - 1, 1, zeta) \
-                    - self.eval_chi(n - k, 1, xi) * self.eval_chi(k - 1, 0, zeta)
-            else:
-                s += self.eval_chi(n - k, 0, xi) * self.eval_chi(k - 1, 1, zeta) \
-                    - self.eval_chi(k - 1, 1, xi) * self.eval_chi(n - k, 0, zeta)
+            s += self.eval_chi(n - k, 0, xi) * self.eval_chi(k - 1, 1, zeta) \
+                - self.eval_chi(n - k, 1, xi) * self.eval_chi(k - 1, 0, zeta)
         return (ud / g) * s / (xi - zeta)
 
     def resolvent_diag(self, n, xi):
@@ -149,9 +145,9 @@ class AwfTable:
                 * self.eval_chi(k, alpha, tj)
         return sign * out
 
-    def dchi_dxi(self, n, alpha, xi, include_dj=True):
-        """d(chi_{n,alpha})/dxi at fixed interval, from the derivative
-        identity.  Requires n + 1 <= N and alpha <= 1."""
+    def _dchi_algebraic(self, n, alpha, xi):
+        """The algebraic part of the derivative identity for
+        d(chi_{n,alpha})/dxi, before the endpoint terms dchi_dj."""
         g, ud, udd = self.model.gamma, self.model.u0_dot, self.model.u0_ddot
         out = self.eval_chi(n, alpha + 1, xi)
         out -= (g / ud ** 2) * (ud * self.mu[0, alpha] * self.eval_chi(n, 0, xi)
@@ -159,9 +155,14 @@ class AwfTable:
                                 + udd * (n + 1) * self.eval_chi(n + 1, alpha, xi))
         for k in range(n):
             out -= (g / ud) * self.nu(n - k, alpha) * self.eval_chi(k, 0, xi)
-        if include_dj:
-            for j in range(len(self.grid.iu.finite_endpoints)):
-                out -= self.dchi_dj(n, alpha, xi, j)
+        return out
+
+    def dchi_dxi(self, n, alpha, xi):
+        """d(chi_{n,alpha})/dxi at fixed interval, from the derivative
+        identity.  Requires n + 1 <= N and alpha <= 1."""
+        out = self._dchi_algebraic(n, alpha, xi)
+        for j in range(len(self.grid.iu.finite_endpoints)):
+            out -= self.dchi_dj(n, alpha, xi, j)
         return out
 
     def chi_total_deriv(self, n, alpha, j=0):
@@ -169,17 +170,18 @@ class AwfTable:
         tau_j partials combine so that the singular self-term cancels,
         leaving the algebraic part minus the i != j cross terms."""
         tj = self.grid.iu.finite_endpoints[j]
-        g, ud, udd = self.model.gamma, self.model.u0_dot, self.model.u0_ddot
-        out = self.eval_chi(n, alpha + 1, tj)
-        out -= (g / ud ** 2) * (ud * self.mu[0, alpha] * self.eval_chi(n, 0, tj)
-                                + udd * n * self.eval_chi(n, alpha, tj)
-                                + udd * (n + 1) * self.eval_chi(n + 1, alpha, tj))
-        for k in range(n):
-            out -= (g / ud) * self.nu(n - k, alpha) * self.eval_chi(k, 0, tj)
+        out = self._dchi_algebraic(n, alpha, tj)
         for i in range(len(self.grid.iu.finite_endpoints)):
             if i != j:
                 out -= self.dchi_dj(n, alpha, tj, i)
         return out
+
+    def moved(self, j, h):
+        """The tables of this model on the union with finite endpoint j
+        moved by +h and by -h (0-based j), from _rebuild."""
+        iu, t = self.grid.iu, self.grid.iu.finite_endpoints[j]
+        return (_rebuild(iu.with_endpoint(j, t + h), self),
+                _rebuild(iu.with_endpoint(j, t - h), self))
 
 
 def build_awf(model, disc, N):
@@ -210,11 +212,14 @@ def resolvent_matrix(disc, n):
     return P / w[None, :]
 
 
-def resolvent_endpoint(disc, model, tau, n_max):
+def resolvent_endpoint(disc, tau, n_max):
     """R_n(tau, tau) for n = 1..n_max with tau off the grid (endpoint),
     via Nystrom extension rows of the matrix resolvent.  K(tau, .) and
-    K(tau, tau) come from one pair evaluation at tau and disc's node
-    values."""
+    K(tau, tau) come from one pair evaluation at tau and the model and
+    node values disc was discretized with."""
+    model = disc.model
+    if model is None:
+        raise ValueError("disc is a bare kernel matrix, not a model's")
     x, w = disc.grid.nodes, disc.grid.weights
     p, pp = (float(v) for v in model.pair(tau))
     c = _row_from(model, tau, p, pp, x, disc.psi, disc.psip)
@@ -237,22 +242,19 @@ IDENTITIES = ("CLOSURE", "ORDER", "AWF-DERIV", "AWF-PARAM", "MU01",
               "MU00-DOT", "MUN0-DOT", "MU-SHIFT", "MU-IPRO", "QN-ODE")
 
 
-def _rebuild(iu, ref_table, cfg=None):
+def _rebuild(iu, ref_table):
     """Private table of the reference table's model on the union iu (the
-    reference union with one endpoint moved), at the reference table's
-    truncation length so FD differences see no tail noise.  Memoized on
-    the reference table per (iu, cfg): every residual that moves the same
-    endpoint by the same step reads the same table."""
-    cfg = cfg or GridConfig()
-    key = (iu, cfg)
-    if key not in ref_table._rebuilt:
-        L = ref_table.grid.truncation
-        if L is not None:
-            cfg = replace(cfg, L_start=L)
-        m = ref_table.model
-        ref_table._rebuilt[key] = build_awf(
+    reference union with one endpoint moved), laid out with the reference
+    grid's settings at its truncation length, so FD differences see no
+    tail noise.  Memoized on the reference table per iu: every residual
+    that moves the same endpoint by the same step reads the same table."""
+    if iu not in ref_table._rebuilt:
+        grid, m = ref_table.grid, ref_table.model
+        cfg = grid.cfg if grid.truncation is None \
+            else replace(grid.cfg, L_start=grid.truncation)
+        ref_table._rebuilt[iu] = build_awf(
             m, discretize(m, build_grid(iu, cfg)), ref_table.N)
-    return ref_table._rebuilt[key]
+    return ref_table._rebuilt[iu]
 
 
 def closure_residual(table, n, xi):
@@ -267,16 +269,16 @@ def closure_residual(table, n, xi):
     return table.eval_chi(n, 2, xi) - rhs
 
 
-def qn_ode_residual(model, table, tau, n=1, h=FD_STEP, cfg=None):
+def qn_ode_residual(table, tau, n=1, h=FD_STEP):
     """Residual of the second-order tau-ODE for chi_{n,0}(tau): the
     second derivative is an independent centered difference over rebuilt
     tables; every first derivative on the right-hand side comes from the
     identities themselves."""
     if n + 2 > table.N:
         raise ValueError("need table.N >= n + 2")
+    model = table.model
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    tp = _rebuild(half_line(tau + h), table, cfg)
-    tm = _rebuild(half_line(tau - h), table, cfg)
+    tp, tm = table.moved(0, h)
     chi_pp = (tp.eval_chi(n, 0, tau + h) - 2.0 * table.eval_chi(n, 0, tau)
               + tm.eval_chi(n, 0, tau - h)) / h ** 2
 
@@ -305,14 +307,16 @@ def qn_ode_residual(model, table, tau, n=1, h=FD_STEP, cfg=None):
 
 
 def identity_residual(name, model, table, tau, n=None, p=None,
-                      h=FD_STEP, cfg=None):
+                      h=FD_STEP):
     """Signed residual of a named identity at endpoint tau.
 
-    The table must be built on [tau, inf).  FD-based identities rebuild
-    private tables at tau +- h.
+    The table must be built on [tau, inf) from model.  FD-based
+    identities rebuild private tables at tau +- h.
     """
     if name not in IDENTITIES:
         raise ValueError("unknown identity %r" % name)
+    if model is not table.model:
+        raise ValueError("table was not built from this model")
     m = model
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
 
@@ -342,8 +346,7 @@ def identity_residual(name, model, table, tau, n=None, p=None,
     if name == "AWF-PARAM":
         nn = (table.N - 1) if n is None else n
         xi = tau + 1.0
-        tp = _rebuild(half_line(tau + h), table, cfg)
-        tm = _rebuild(half_line(tau - h), table, cfg)
+        tp, tm = table.moved(0, h)
         fd = (tp.eval_chi(nn, 0, xi) - tm.eval_chi(nn, 0, xi)) / (2.0 * h)
         return fd - table.dchi_dj(nn, 0, xi, 0)
 
@@ -354,15 +357,13 @@ def identity_residual(name, model, table, tau, n=None, p=None,
         return table.mu[0, 1] - rhs
 
     if name == "MU00-DOT":
-        tp = _rebuild(half_line(tau + h), table, cfg)
-        tm = _rebuild(half_line(tau - h), table, cfg)
+        tp, tm = table.moved(0, h)
         fd = (tp.mu[0, 0] - tm.mu[0, 0]) / (2.0 * h)
         return fd + table.eval_chi(0, 0, tau) ** 2
 
     if name == "MUN0-DOT":
         nn = (table.N - 1) if n is None else n
-        tp = _rebuild(half_line(tau + h), table, cfg)
-        tm = _rebuild(half_line(tau - h), table, cfg)
+        tp, tm = table.moved(0, h)
         fd = (tp.mu[nn, 0] - tm.mu[nn, 0]) / (2.0 * h)
         q = table.eval_chi(0, 0, tau)
         return fd + (nn + 1) * table.eta(nn, tau) * q * q
@@ -394,5 +395,4 @@ def identity_residual(name, model, table, tau, n=None, p=None,
         return r
 
     # QN-ODE
-    return qn_ode_residual(model, table, tau, n=1 if n is None else n,
-                           h=h, cfg=cfg)
+    return qn_ode_residual(table, tau, n=1 if n is None else n, h=h)

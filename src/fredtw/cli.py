@@ -116,10 +116,8 @@ def _write_json(out_path, report):
 
 
 def _meta(args, cfg):
-    meta = {"model": getattr(args, "model", "-")}
-    for k in ("nodes_per_panel", "tail_tol", "L_max", "L_start",
-              "det_stab_tol", "max_panel_len"):
-        meta[k] = getattr(cfg, k)
+    meta = {f.name: getattr(cfg, f.name) for f in fields(GridConfig)}
+    meta["model"] = getattr(args, "model", "-")
     return meta
 
 
@@ -226,14 +224,14 @@ def _cmd_lax(args, gcfg, scfg, seed):
                   for n in range(N + 1))
         add("A-traceless", "j=%d" % j, trc, 1e-12)
         add("tau-equation", "j=%d" % j,
-            lax_system_residual(trunc, "TAU_EQ", j, xi=args.xi, cfg=gcfg),
+            lax_system_residual(trunc, "TAU_EQ", j, xi=args.xi),
             1e-5)
     add("xi-equation", "xi=%g" % args.xi,
-        lax_system_residual(trunc, "XI_EQ", xi=args.xi, cfg=gcfg), 1e-5)
+        lax_system_residual(trunc, "XI_EQ", xi=args.xi), 1e-5)
     mask = schlesinger_mask(N)
     for i in range(len(trunc.taus)):
         for j in range(len(trunc.taus)):
-            R = schlesinger_residual(trunc, i, j, cfg=gcfg)
+            R = schlesinger_residual(trunc, i, j)
             add("schlesinger", "i=%d,j=%d" % (i, j),
                 float(np.max(np.abs(R[mask]))), 1e-5)
     report = {"model": args.model, "endpoints": list(endpoints),
@@ -248,7 +246,7 @@ def _cmd_verify(args, gcfg, scfg, seed):
                       args.N)
     checks = []
     for name in IDENTITIES:
-        r = identity_residual(name, model, table, args.tau, cfg=gcfg)
+        r = identity_residual(name, model, table, args.tau)
         tol = _IDENTITY_TOL[name]
         checks.append({"check": name, "residual": float(r),
                        "tolerance": tol, "pass": bool(abs(r) <= tol)})

@@ -77,6 +77,7 @@ class QuadratureGrid:
     weights: np.ndarray
     truncation: Optional[float]      # L applied to a half-infinite component
     iu: IntervalUnion
+    cfg: GridConfig                  # the settings the grid was laid out with
 
 
 class DetResult(NamedTuple):
@@ -98,7 +99,7 @@ def _grid(iu, cfg, L):
     parts = [gl_panels(a, b, cfg.nodes_per_panel, cfg.max_panel_len)
              for a, b in zip(e[0::2], e[1::2])]
     return QuadratureGrid(np.concatenate([x for x, _ in parts]),
-                          np.concatenate([w for _, w in parts]), L, iu)
+                          np.concatenate([w for _, w in parts]), L, iu, cfg)
 
 
 def build_grid(iu, cfg=None, model=None):

@@ -14,31 +14,22 @@ Routes:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .awf import FD_STEP, _rebuild, build_awf, resolvent_endpoint
+from .awf import FD_STEP, resolvent_endpoint
 from .errors import PsiTooSmall
 from .fredholm import GridConfig, gap_probability, half_line, nystrom
 
 ROUTES = ("DIAGONAL", "CANONICAL", "CLOSED_FORM")
 
 
-@dataclass(frozen=True)
-class HamiltonianEval:
-    n: int
-    tau: float
-    value: float
-    route: str
-
-
-def _q_derivs(table, tau, h=FD_STEP, cfg=None):
+def _q_derivs(table, tau, h=FD_STEP):
     """(q, q', q'') at the endpoint: q' is the total derivative from the
     identity machinery, q'' a centered difference of q over rebuilt
     tables (independent of the identity under test)."""
     q = table.eval_chi(0, 0, tau)
     qp = table.chi_total_deriv(0, 0)
-    tp = _rebuild(half_line(tau + h), table, cfg)
-    tm = _rebuild(half_line(tau - h), table, cfg)
+    tp, tm = table.moved(0, h)
     qpp = (tp.eval_chi(0, 0, tau + h) - 2.0 * q
            + tm.eval_chi(0, 0, tau - h)) / h ** 2
     return q, qp, qpp
@@ -54,7 +45,7 @@ def hamiltonian(table, n, tau, route="DIAGONAL"):
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
 
     if route == "DIAGONAL":
-        diag = resolvent_endpoint(table.disc, m, tau, n)
+        diag = resolvent_endpoint(table.disc, tau, n)
         return (g / ud) * float(diag[n - 1])
 
     if route == "CANONICAL":
@@ -80,7 +71,7 @@ def hamiltonian_scaling_residual(table, n, tau):
     if n < 1:
         raise ValueError("n must be >= 1")
     m = table.model
-    diag = resolvent_endpoint(table.disc, m, tau, n)
+    diag = resolvent_endpoint(table.disc, tau, n)
     h1 = (m.gamma / m.u0_dot) * float(diag[0])
     hn = (m.gamma / m.u0_dot) * float(diag[n - 1])
     if n == 1 or (h1 == 0.0 and hn == 0.0):
@@ -88,13 +79,15 @@ def hamiltonian_scaling_residual(table, n, tau):
     return hn - n * table.eta(n - 1, tau) * h1
 
 
-def logdet_link_residual(model, tau, h=1e-3, cfg=None, N=1):
-    """Centered FD of log F([tau, inf)) minus (u0_dot/gamma) H_1(tau)."""
+def logdet_link_residual(model, tau, h=1e-3, cfg=None):
+    """Centered FD of log F([tau, inf)) minus (u0_dot/gamma) H_1(tau),
+    H_1 by the DIAGONAL route."""
     if not 1e-5 <= h <= 1e-2:
         raise ValueError("h must lie in [1e-5, 1e-2]")
     cfg = cfg or GridConfig()
     disc = nystrom(half_line(tau), cfg, model)
-    h1 = hamiltonian(build_awf(model, disc, N), 1, tau, route="DIAGONAL")
+    h1 = (model.gamma / model.u0_dot) \
+        * float(resolvent_endpoint(disc, tau, 1)[0])
 
     L = disc.grid.truncation
     pinned = replace(cfg, L_start=L, L_max=L)
@@ -104,16 +97,15 @@ def logdet_link_residual(model, tau, h=1e-3, cfg=None, N=1):
     return fd - (model.u0_dot / model.gamma) * h1
 
 
-def h1_derivative_residual(model, table, tau, h=FD_STEP, cfg=None):
+def h1_derivative_residual(table, tau, h=FD_STEP):
     """FD of H_1 across rebuilt tables minus the closed-form derivative
     -(gamma^2/u0_dot^2)(q^2 + (u0_ddot/gamma)(2q/psi - 1) H_1)."""
-    m = model
+    m = table.model
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
     p = table.jet(tau)[0]
     if udd != 0.0 and abs(p) < table.psi_floor:
         raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
-    tp = _rebuild(half_line(tau + h), table, cfg)
-    tm = _rebuild(half_line(tau - h), table, cfg)
+    tp, tm = table.moved(0, h)
     fd = (hamiltonian(tp, 1, tau + h, "DIAGONAL")
           - hamiltonian(tm, 1, tau - h, "DIAGONAL")) / (2.0 * h)
     q = table.eval_chi(0, 0, tau)

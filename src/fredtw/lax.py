@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .awf import _rebuild, build_awf
+from .awf import build_awf
 from .fredholm import nystrom
 
 FD_STEP = 1e-4
@@ -68,7 +68,7 @@ def build_A(table, j_parity, N, tau=None):
     return A
 
 
-def build_B(model, table, xi, N):
+def build_B(table, xi, N):
     """Polynomial-part matrix B(xi) of the xi-equation.
 
     Needs table.N >= N + 1 because the moment combinations
@@ -77,6 +77,7 @@ def build_B(model, table, xi, N):
     """
     if table.N < N + 1:
         raise ValueError("need table.N >= N + 1")
+    model = table.model
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
     mu00, mu01 = table.mu[0, 0], table.mu[0, 1]
     size = 2 * (N + 1)
@@ -104,21 +105,30 @@ def build_B(model, table, xi, N):
 class LaxTruncation:
     """A_j truncations at every finite endpoint of a union, plus the
     shared AWF table (order N + 1, as build_B requires) of the union
-    operator.  parities[j] = (-1)^(1-based endpoint number)."""
-    model: object
-    iu: object
+    operator.  The model, the union and its endpoints are the table's;
+    parities[j] = (-1)^(1-based endpoint number)."""
     N: int
     table: object
-    taus: tuple
-    parities: tuple
     A: tuple
 
     @property
-    def size(self):
-        return 2 * (self.N + 1)
+    def model(self):
+        return self.table.model
+
+    @property
+    def iu(self):
+        return self.table.grid.iu
+
+    @property
+    def taus(self):
+        return self.iu.finite_endpoints
+
+    @property
+    def parities(self):
+        return tuple((-1.0) ** (j + 1) for j in range(len(self.taus)))
 
     def B(self, xi):
-        return build_B(self.model, self.table, xi, self.N)
+        return build_B(self.table, xi, self.N)
 
     def X(self, xi, table=None):
         """The stacked column (chi_{0,0}, chi_{0,1}, ..., chi_{N,1})(xi)."""
@@ -130,16 +140,9 @@ class LaxTruncation:
 def build_truncation(model, iu, N, cfg=None):
     table = build_awf(model, nystrom(iu, cfg, model), N + 1)
     taus = iu.finite_endpoints
-    parities = tuple((-1.0) ** (j + 1) for j in range(len(taus)))
-    A = tuple(build_A(table, parities[j], N, tau=taus[j])
+    A = tuple(build_A(table, (-1.0) ** (j + 1), N, tau=taus[j])
               for j in range(len(taus)))
-    return LaxTruncation(model, iu, N, table, taus, parities, A)
-
-
-def _moved(trunc, j, h):
-    """The union with endpoint j moved by +h and by -h."""
-    return (trunc.iu.with_endpoint(j, trunc.taus[j] + h),
-            trunc.iu.with_endpoint(j, trunc.taus[j] - h))
+    return LaxTruncation(N, table, A)
 
 
 def measured(vec_or_mat, N):
@@ -150,7 +153,7 @@ def measured(vec_or_mat, N):
     return a[:stop] if a.ndim == 1 else a[:stop, :stop]
 
 
-def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP, cfg=None):
+def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP):
     """Max-norm residual of the linear system at a point xi inside the
     union, over the measured components n <= N-2.
 
@@ -167,8 +170,7 @@ def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP, cfg=None):
         raise ValueError("xi must stay away from the endpoints")
     X0 = trunc.X(xi)
     if which == "TAU_EQ":
-        tp, tm = (_rebuild(iu, trunc.table, cfg)
-                  for iu in _moved(trunc, j, h))
+        tp, tm = trunc.table.moved(j, h)
         fd = (trunc.X(xi, tp) - trunc.X(xi, tm)) / (2.0 * h)
         res = fd + (trunc.A[j] @ X0) / (xi - trunc.taus[j])
     else:
@@ -180,7 +182,7 @@ def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP, cfg=None):
     return float(np.max(np.abs(measured(res, trunc.N))))
 
 
-def schlesinger_residual(trunc, i, j, h=FD_STEP, cfg=None):
+def schlesinger_residual(trunc, i, j, h=FD_STEP):
     """Signed residual matrix of the deformation equation for A_i under
     motion of endpoint j:
 
@@ -193,9 +195,9 @@ def schlesinger_residual(trunc, i, j, h=FD_STEP, cfg=None):
     diagnostic.
     """
     N = trunc.N
-    Ap, Am = (build_A(_rebuild(iu, trunc.table, cfg),
-                      trunc.parities[i], N, tau=iu.finite_endpoints[i])
-              for iu in _moved(trunc, j, h))
+    Ap, Am = (build_A(t, trunc.parities[i], N,
+                      tau=t.grid.iu.finite_endpoints[i])
+              for t in trunc.table.moved(j, h))
     fd = (Ap - Am) / (2.0 * h)
     if i != j:
         rhs = _comm(trunc.A[i], trunc.A[j]) / (trunc.taus[i] - trunc.taus[j])

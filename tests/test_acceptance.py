@@ -113,7 +113,7 @@ def _registry_sweep(airy, names, with_qn=False):
             worst[n] = max(worst[n],
                            abs(identity_residual(n, airy, table, tau)))
         if with_qn:
-            qn = max(qn, abs(qn_ode_residual(airy, table, tau, n=1)))
+            qn = max(qn, abs(qn_ode_residual(table, tau, n=1)))
     return worst, qn
 
 
@@ -154,7 +154,7 @@ def test_criterion_5_hamiltonian_stack(airy, airy_table):
         worst_route = max(worst_route, abs(d - c))
     r1 = abs(logdet_link_residual(airy, 0.0, h=1e-3))
     r2 = abs(logdet_link_residual(airy, 0.0, h=5e-4))
-    h1d = abs(h1_derivative_residual(airy, airy_table, 0.0))
+    h1d = abs(h1_derivative_residual(airy_table, 0.0))
     ok = worst_route <= 1e-6 and r1 <= 1e-5 and 3.0 < r1 / r2 < 5.0 \
         and h1d <= 1e-5
     _report(5, "Hamiltonian stack", ok,

@@ -68,11 +68,24 @@ def test_rebuild_is_memoized(airy_table):
     iu = half_line(1e-4)
     t = _rebuild(iu, airy_table)
     assert _rebuild(iu, airy_table) is t
-    assert _rebuild(iu, airy_table, GridConfig()) is t
     assert _rebuild(half_line(-1e-4), airy_table) is not t
-    assert _rebuild(iu, airy_table, GridConfig(nodes_per_panel=20)) is not t
     assert t.model is airy_table.model
     assert t.grid.truncation == airy_table.grid.truncation
+    assert airy_table.moved(0, 1e-4)[0] is t
+
+
+def test_moved_tables_keep_the_grid_settings(airy):
+    """A table's moved-endpoint rebuilds are laid out with the settings
+    and the truncation of the table's own grid, not the defaults."""
+    cfg = GridConfig(nodes_per_panel=12)
+    table = build_awf(airy, nystrom(half_line(0.0), cfg, airy), 1)
+    assert table.grid.cfg == cfg
+    for t, iu in zip(table.moved(0, 1e-4),
+                     (half_line(1e-4), half_line(-1e-4))):
+        assert t.grid.iu == iu
+        assert t.grid.cfg.nodes_per_panel == 12
+        assert t.grid.nodes.size == table.grid.nodes.size
+        assert t.grid.truncation == table.grid.truncation
 
 
 def test_chi_order_cap(airy):
@@ -96,9 +109,9 @@ def test_fd_identities(airy, airy_table):
 def test_qn_ode_at_origin(airy, airy_table):
     # passes here, but see test_qn_ode_left_of_origin: the identity as
     # stated decays with the kernel norm rather than holding uniformly
-    assert abs(qn_ode_residual(airy, airy_table, 0.0, n=1)) < 1e-5
+    assert abs(qn_ode_residual(airy_table, 0.0, n=1)) < 1e-5
     with pytest.raises(ValueError):
-        qn_ode_residual(airy, airy_table, 0.0, n=3)
+        qn_ode_residual(airy_table, 0.0, n=3)
 
 
 @pytest.mark.xfail(
@@ -109,7 +122,7 @@ def test_qn_ode_at_origin(airy, airy_table):
            "7e-9; see notes/decisions.md")
 def test_qn_ode_left_of_origin(airy):
     table = build_awf(airy, nystrom(half_line(-1.0), model=airy), 4)
-    assert abs(qn_ode_residual(airy, table, -1.0, n=1)) < 1e-5
+    assert abs(qn_ode_residual(table, -1.0, n=1)) < 1e-5
 
 
 @pytest.mark.xfail(
@@ -135,6 +148,12 @@ def test_unknown_identity(airy, airy_table):
         identity_residual("NOPE", airy, airy_table, 0.0)
 
 
+def test_identity_refuses_another_model(airy_table):
+    for model in (damped_airy_model(), airy_model()):
+        with pytest.raises(ValueError):
+            identity_residual("MU01", model, airy_table, 0.0)
+
+
 def test_resolvent_kernel_vs_matrix_oracle(airy, airy_table):
     """The chi-built resolvent kernels against plain matrix algebra on
     K_w (I - K_w)^{-1}: a fully independent route."""
@@ -148,12 +167,18 @@ def test_resolvent_kernel_vs_matrix_oracle(airy, airy_table):
 
 def test_resolvent_diag_vs_matrix_oracle(airy, airy_table):
     disc = airy_table.disc
-    diag = resolvent_endpoint(disc, airy, 0.0, 3)
+    diag = resolvent_endpoint(disc, 0.0, 3)
     for n in (1, 2, 3):
         chi_route = airy_table.resolvent_diag(n, 0.5)
-        rm = resolvent_endpoint(disc, airy, 0.5, n)[n - 1]
+        rm = resolvent_endpoint(disc, 0.5, n)[n - 1]
         assert chi_route == pytest.approx(rm, rel=1e-7, abs=1e-12)
     assert diag[0] > 0.0
+
+
+def test_resolvent_endpoint_refuses_a_bare_matrix(airy_table):
+    bare = discretize_matrix(airy_table.disc.K, airy_table.grid)
+    with pytest.raises(ValueError):
+        resolvent_endpoint(bare, 0.0, 1)
 
 
 def test_eta_guard():

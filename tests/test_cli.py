@@ -63,6 +63,19 @@ def test_hamiltonian_routes(tmp_path):
     assert abs(vals["DIAGONAL"] - vals["CANONICAL"]) < 1e-9
 
 
+def test_closed_form_route_on_a_coarse_grid(tmp_path, capsys):
+    """CLOSED_FORM differences q over tables rebuilt with the config's
+    grid settings, so it agrees with DIAGONAL on a non-default grid."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[grid]\nnodes_per_panel = 12\n")
+    assert run(["--config", str(cfg), "hamiltonian", "--tau", "0",
+                "--n", "1"]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")][1:]
+    vals = {r[0]: float(r[3]) for r in rows}
+    assert abs(vals["CLOSED_FORM"] - vals["DIAGONAL"]) < 1e-6
+
+
 def test_verify_reports_known_failures(tmp_path):
     out = tmp_path / "verify.json"
     code = run(["verify", "--model", "airy", "--tau", "0",

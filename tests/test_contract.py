@@ -1,13 +1,17 @@
 """The names the benchmark's span tracer (perfbench/spans.py) patches from
 outside the package must stay bound, or its per-layer figures silently
-read zero."""
+read zero; the calls its worker (perfbench/worker.py) makes must still
+fit the signatures, or its operations silently fail."""
 
 import importlib
 import importlib.util
+import inspect
 import math
 from pathlib import Path
 
-from fredtw import airy_model, build_grid, half_line
+from fredtw import (airy_model, build_awf, build_grid, discretize,
+                    half_line, hamiltonian, identity_residual,
+                    logdet_link_residual)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -38,3 +42,15 @@ def test_model_grid_has_nodes():
     grid = build_grid(half_line(2.0), model=airy_model())
     assert grid.nodes.size > 0
     assert math.isfinite(grid.truncation)
+
+
+def test_worker_call_shapes_bind():
+    m, grid, table, iu = object(), object(), object(), object()
+    shapes = ((identity_residual, ("MU01", m, table, 0.0), {}),
+              (hamiltonian, (table, 1, 0.0, "DIAGONAL"), {}),
+              (logdet_link_residual, (m, 0.0), {}),
+              (build_awf, (m, object(), 4), {}),
+              (build_grid, (iu,), {"model": m}),
+              (discretize, (m, grid), {}))
+    for f, args, kwargs in shapes:
+        inspect.signature(f).bind(*args, **kwargs)

@@ -50,7 +50,7 @@ def test_logdet_link(airy):
 
 
 def test_h1_derivative_residual(airy, airy_table):
-    assert abs(h1_derivative_residual(airy, airy_table, 0.0)) < 1e-5
+    assert abs(h1_derivative_residual(airy_table, 0.0)) < 1e-5
 
 
 @pytest.mark.xfail(

@@ -64,7 +64,7 @@ def test_B_relations(trunc, airy):
     t = trunc.table
     assert B[1, 0] == pytest.approx(0.5 - 2.0 * t.mu[0, 1], rel=1e-14)
     with pytest.raises(ValueError):
-        build_B(airy, t, 0.5, t.N)  # needs one order of headroom
+        build_B(t, 0.5, t.N)  # needs one order of headroom
 
 
 def test_build_A_needs_order(trunc, airy):
