@@ -12,13 +12,27 @@ Two regimes:
 * |x| > SEAM: the standard asymptotic expansions in zeta = (2/3)|x|^{3/2},
   summed to the smallest term.  At the seam zeta ~ 18 the optimally
   truncated series is accurate to ~1e-15 relative, so the two branches
-  overlap far inside the target tolerance.
+  overlap far inside the target tolerance.  Past the seam the error is
+  the rounding of zeta, about zeta * 1e-16: relative to Ai, Ai' for
+  x > 0 (in exp(-zeta)), and relative to the envelope |x|^{-1/4}/sqrt(pi)
+  of Ai (|x|^{1/4}/sqrt(pi) of Ai') for x < 0 (in the phase).  Measured
+  against an mpmath oracle (scipy.special.airy is within twice these of
+  both), the largest error is
+      x in (9, 20]: 1e-14      x in [-30, -9): 1e-14
+      x in (20, 100]: 1.2e-13  x in [-100, -30): 1e-13
+                               x in [-1e3, -100): 2e-12
+  which is the range the engine claims.  On the negative axis the error
+  keeps growing, to 4e-11 at -1e4, 8e-8 at -1e6 and 6e-2 at -1e10, and
+  the phase overflows past -3e205.  Ai underflows to subnormals near
+  x = 104 and to 0 just past 105; from there on, +inf included, the pair
+  is (+0.0, -0.0).  At -inf it is (0.0, nan): Ai' has no limit.
 
 Everything is vectorized over numpy arrays; scalars in, scalars out.  A
 scalar inside the seam runs the same series, operation for operation, on
 Python floats: a 1-element array pays numpy's per-call overhead on each
 of the ~200 double-double operations per term, and costs about as much as
-a 40-point array.  NaN in gives NaN out.
+a 40-point array.  NaN in gives NaN out; neither NaN nor an infinity
+raises a warning.
 """
 
 import numpy as np
@@ -30,6 +44,7 @@ _C1 = (0.3550280538878172, 2.05233632436212e-17)
 _C2 = (0.2588194037928068, -2.522243111610832e-17)  # = -Ai'(0)
 
 SEAM = 9.0
+_X_ZERO = 1e3
 _N_SERIES = 80
 _N_ASYMP = 46
 
@@ -164,6 +179,9 @@ def _trunc_sum(zeta, terms):
 
 
 def _asymp_pos(x):
+    # Ai and Ai' are +0.0 and -0.0 in double precision from x ~ 105 on;
+    # the cap keeps x = +inf at those limits instead of 0 * inf
+    x = np.minimum(x, _X_ZERO)
     zeta = (2.0 / 3.0) * x ** 1.5
     zk = [zeta ** (-float(k)) for k in range(_N_ASYMP)]
     s_ai = _trunc_sum(zeta, ((-1.0) ** k * _U[k] * zk[k]
@@ -180,8 +198,9 @@ def _asymp_neg(x):
     t = -x
     zeta = (2.0 / 3.0) * t ** 1.5
     zk = [zeta ** (-float(k)) for k in range(_N_ASYMP)]
-    c = np.cos(zeta - 0.25 * np.pi)
-    s = np.sin(zeta - 0.25 * np.pi)
+    with np.errstate(invalid="ignore"):   # zeta = inf at x = -inf
+        c = np.cos(zeta - 0.25 * np.pi)
+        s = np.sin(zeta - 0.25 * np.pi)
     even = range(0, _N_ASYMP, 2)
     odd = range(1, _N_ASYMP, 2)
     u_even = _trunc_sum(zeta, ((-1.0) ** (k // 2) * _U[k] * zk[k] for k in even))
@@ -190,6 +209,7 @@ def _asymp_neg(x):
     v_odd = _trunc_sum(zeta, ((-1.0) ** (k // 2) * _V[k] * zk[k] for k in odd))
     ai = (c * u_even + s * u_odd) / (_SQRTPI * t ** 0.25)
     aip = (t ** 0.25 / _SQRTPI) * (s * v_even - c * v_odd)
+    ai[t == np.inf] = 0.0   # the limit; Ai' has none and stays NaN
     return ai, aip
 
 

@@ -10,12 +10,10 @@ numerical residual; derivatives in tau are centered differences over
 re-built tables except where an identity itself supplies the derivative.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from .errors import PsiTooSmall
-from .fredholm import build_grid, discretize, resolve
+from .fredholm import _grid, discretize, resolve
 from .kernel import _diag_from, _row_from
 from .wavefun import psi_second_from
 
@@ -242,6 +240,15 @@ IDENTITIES = ("CLOSURE", "ORDER", "AWF-DERIV", "AWF-PARAM", "MU01",
               "MU00-DOT", "MUN0-DOT", "MU-SHIFT", "MU-IPRO", "QN-ODE")
 
 
+def _check_endpoint(table, tau):
+    """Refuse a tau that is not the table's first finite endpoint, the
+    one the endpoint functions read the table at."""
+    t = table.grid.iu.finite_endpoints[0]
+    if tau != t:
+        raise ValueError("tau = %r is not the table's endpoint %r"
+                         % (tau, t))
+
+
 def _rebuild(iu, ref_table):
     """Private table of the reference table's model on the union iu (the
     reference union with one endpoint moved), laid out with the reference
@@ -250,10 +257,9 @@ def _rebuild(iu, ref_table):
     that moves the same endpoint by the same step reads the same table."""
     if iu not in ref_table._rebuilt:
         grid, m = ref_table.grid, ref_table.model
-        cfg = grid.cfg if grid.truncation is None \
-            else replace(grid.cfg, L_start=grid.truncation)
         ref_table._rebuilt[iu] = build_awf(
-            m, discretize(m, build_grid(iu, cfg)), ref_table.N)
+            m, discretize(m, _grid(iu, grid.cfg, grid.truncation)),
+            ref_table.N)
     return ref_table._rebuilt[iu]
 
 
@@ -276,6 +282,7 @@ def qn_ode_residual(table, tau, n=1, h=FD_STEP):
     identities themselves."""
     if n + 2 > table.N:
         raise ValueError("need table.N >= n + 2")
+    _check_endpoint(table, tau)
     model = table.model
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
     tp, tm = table.moved(0, h)
@@ -310,13 +317,15 @@ def identity_residual(name, model, table, tau, n=None, p=None,
                       h=FD_STEP):
     """Signed residual of a named identity at endpoint tau.
 
-    The table must be built on [tau, inf) from model.  FD-based
-    identities rebuild private tables at tau +- h.
+    The table must be built on [tau, inf) from model; any other tau or
+    model raises ValueError.  FD-based identities rebuild private tables
+    at tau +- h.
     """
     if name not in IDENTITIES:
         raise ValueError("unknown identity %r" % name)
     if model is not table.model:
         raise ValueError("table was not built from this model")
+    _check_endpoint(table, tau)
     m = model
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
 

@@ -5,8 +5,11 @@ resolvent solves (I - K)^{-1} f.
 
 Gauss-Legendre panels (open rule, no endpoint nodes).  A half-infinite
 final component [tau, inf) is truncated at tau + L with L chosen by one
-doubling search (nystrom): determinant stability, plus a tail rule on
-the kernel diagonal when the kernel comes from a WaveModel.
+nested doubling search (nystrom): the grid at L is a prefix of the grid
+at 2L, so each doubling step evaluates the kernel once, on the panels it
+adds, and reads level L off the leading block of the 2L matrix.  The
+tests are determinant stability, plus, when the kernel comes from a
+WaveModel, a tail rule read off the 2L diagonal on [tau + L, tau + 2L].
 """
 
 import math
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SingularOperator, TailNotResolved
-from .kernel import _matrix_from, _node_pair, kernel_diag
+from .kernel import _diag_from, _matrix_from, _node_pair
 from .quadrature import gl_panels
 
 
@@ -59,6 +62,17 @@ def half_line(tau):
 
 @dataclass(frozen=True)
 class GridConfig:
+    """Nystrom grid settings.
+
+    A finite component is split into the fewest equal panels no longer
+    than max_panel_len.  A half-infinite component [tau, inf) cut at
+    tau + L gets panels of one length h, L_start halved until
+    h <= max_panel_len, with edges tau + i*h; so the grid at L is a
+    prefix of the grid at 2L.  With the defaults h = 8, so L = 8, 16,
+    32, 64 and 128 get 1, 2, 4, 8 and 16 panels: up to L = 32 the fewest
+    equal panels of at most max_panel_len, at 64 and 128 one and three
+    panels more than that (7 and 13).
+    """
     nodes_per_panel: int = 40
     tail_tol: float = 1e-12
     L_max: float = 128.0
@@ -92,12 +106,19 @@ class SeriesResult(NamedTuple):
 
 
 def _grid(iu, cfg, L):
-    """Panels over iu, its half-infinite component cut at tau + L."""
+    """Panels over iu, its half-infinite component cut at tau + L into the
+    panels of length h that GridConfig describes."""
     e = iu.endpoints
+    n, plen = cfg.nodes_per_panel, cfg.max_panel_len
+    finite = e[:-2] if iu.half_infinite else e
+    parts = [gl_panels(a, b, n, plen)
+             for a, b in zip(finite[0::2], finite[1::2])]
     if iu.half_infinite:
-        e = e[:-1] + (e[-2] + L,)
-    parts = [gl_panels(a, b, cfg.nodes_per_panel, cfg.max_panel_len)
-             for a, b in zip(e[0::2], e[1::2])]
+        tau, h = e[-2], cfg.L_start
+        while h > plen:
+            h /= 2.0
+        parts += [gl_panels(tau + i * h, tau + (i + 1) * h, n)
+                  for i in range(round(L / h))]
     return QuadratureGrid(np.concatenate([x for x, _ in parts]),
                           np.concatenate([w for _, w in parts]), L, iu, cfg)
 
@@ -113,48 +134,56 @@ def build_grid(iu, cfg=None, model=None):
     return nystrom(iu, cfg, model).grid
 
 
-def _tail_bound(model, tau, L):
-    x, w = gl_panels(tau + L, tau + 2 * L, 64)
-    return float(np.dot(w, np.abs(kernel_diag(model, x))))
-
-
 def nystrom(iu, cfg=None, model=None, matrix=None):
     """The factorized Nystrom discretization of K on iu.
 
-    Each level is discretize(model, grid), or, given matrix(nodes), that
+    The kernel is discretize(model, grid), or, given matrix(nodes), that
     bare kernel matrix.  A half-infinite component [tau, inf) is cut at
     tau + L, with L doubled from cfg.L_start until |F_L - F_2L| <
-    det_stab_tol and, with a model, the diagonal-tail bound
-    int_{tau+L}^{tau+2L} |K(x,x)| dx < tail_tol; the 2L level is carried
-    into the next doubling.  Raises SingularOperator unless det(I - K) on
-    the accepted grid is positive.
+    det_stab_tol and, with a model, the tail bound
+    sum_i w_i |K(x_i, x_i)| over the 2L nodes in [tau + L, tau + 2L] is
+    below tail_tol.  The search is nested: each step evaluates the model
+    (one pair pass) on the panels it adds only, or calls matrix once on
+    the 2L nodes, and builds the 2L matrix once; level L is its leading
+    block, or the 2L level of the step before.  Raises SingularOperator
+    unless det(I - K) on the accepted grid is positive.
     """
     cfg = cfg or GridConfig()
-
-    def level(L):
-        grid = _grid(iu, cfg, L)
-        if matrix is None:
-            return discretize(model, grid)
-        return DiscretizedKernel(grid, matrix(grid.nodes))
-
-    if iu.half_infinite:
-        tau, L, carried = iu.endpoints[-2], cfg.L_start, None
+    if not iu.half_infinite:
+        grid = _grid(iu, cfg, None)
+        disc = discretize(model, grid) if matrix is None \
+            else DiscretizedKernel(grid, matrix(grid.nodes))
+    else:
+        L, carried = cfg.L_start, None
+        p = pp = np.empty(0)
         while L <= cfg.L_max:
-            if model is not None \
-                    and _tail_bound(model, tau, L) >= cfg.tail_tol:
-                carried = None
+            grid, fine = _grid(iu, cfg, L), _grid(iu, cfg, 2 * L)
+            n = grid.nodes.size
+            if matrix is None:
+                new = _node_pair(model, fine.nodes[p.size:])
+                p, pp = np.concatenate((p, new[0])), \
+                    np.concatenate((pp, new[1]))
+                tail = np.dot(fine.weights[n:], np.abs(
+                    _diag_from(model, fine.nodes[n:], p[n:], pp[n:])))
+                if tail >= cfg.tail_tol:
+                    carried = None
+                    L *= 2.0
+                    continue
+                d2 = DiscretizedKernel(
+                    fine, _matrix_from(model, fine.nodes, p, pp), model, p, pp)
+                disc = carried or DiscretizedKernel(
+                    grid, d2.K[:n, :n].copy(), model, p[:n], pp[:n])
             else:
-                disc, d2 = carried or level(L), level(2 * L)
-                if abs(fredholm_det(disc).value - fredholm_det(d2).value) \
-                        < cfg.det_stab_tol:
-                    break
-                carried = d2
+                d2 = DiscretizedKernel(fine, matrix(fine.nodes))
+                disc = carried or DiscretizedKernel(grid, d2.K[:n, :n].copy())
+            if abs(fredholm_det(disc).value - fredholm_det(d2).value) \
+                    < cfg.det_stab_tol:
+                break
+            carried = d2
             L *= 2.0
         else:
             raise TailNotResolved("truncation unresolved up to L_max=%g"
                                   % cfg.L_max)
-    else:
-        disc = level(None)
     det = fredholm_det(disc)
     if det.sign != 1.0:
         raise SingularOperator("det(I - K) = %.3e is not positive"

@@ -16,7 +16,7 @@ Routes:
 import math
 from dataclasses import replace
 
-from .awf import FD_STEP, resolvent_endpoint
+from .awf import FD_STEP, _check_endpoint, resolvent_endpoint
 from .errors import PsiTooSmall
 from .fredholm import GridConfig, gap_probability, half_line, nystrom
 
@@ -27,6 +27,7 @@ def _q_derivs(table, tau, h=FD_STEP):
     """(q, q', q'') at the endpoint: q' is the total derivative from the
     identity machinery, q'' a centered difference of q over rebuilt
     tables (independent of the identity under test)."""
+    _check_endpoint(table, tau)
     q = table.eval_chi(0, 0, tau)
     qp = table.chi_total_deriv(0, 0)
     tp, tm = table.moved(0, h)
@@ -36,11 +37,13 @@ def _q_derivs(table, tau, h=FD_STEP):
 
 
 def hamiltonian(table, n, tau, route="DIAGONAL"):
-    """H_n at the finite endpoint tau by the selected route."""
+    """H_n at the table's endpoint tau by the selected route; any other
+    tau raises ValueError."""
     if route not in ROUTES:
         raise ValueError("unknown route %r" % route)
     if not 1 <= n <= table.N:
         raise ValueError("need 1 <= n <= table.N")
+    _check_endpoint(table, tau)
     m = table.model
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
 
@@ -70,6 +73,7 @@ def hamiltonian_scaling_residual(table, n, tau):
     """H_n - n eta^{n-1} H_1, both Hamiltonians by the DIAGONAL route."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_endpoint(table, tau)
     m = table.model
     diag = resolvent_endpoint(table.disc, tau, n)
     h1 = (m.gamma / m.u0_dot) * float(diag[0])
@@ -100,6 +104,7 @@ def logdet_link_residual(model, tau, h=1e-3, cfg=None):
 def h1_derivative_residual(table, tau, h=FD_STEP):
     """FD of H_1 across rebuilt tables minus the closed-form derivative
     -(gamma^2/u0_dot^2)(q^2 + (u0_ddot/gamma)(2q/psi - 1) H_1)."""
+    _check_endpoint(table, tau)
     m = table.model
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
     p = table.jet(tau)[0]

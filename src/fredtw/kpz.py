@@ -137,8 +137,9 @@ def kpz_matrix(spec, nodes, tol=1e-10):
 def kpz_gap(spec, tau, cfg=None, tol=1e-10):
     """F([tau, inf)) = det(I - K) for the Fermi-weighted kernel.
 
-    There is no WaveModel for the diagonal-tail probe, so the truncation
-    is the one fredholm.nystrom accepts by determinant stability alone.
+    The kernel is a bare matrix, not a WaveModel's, so the truncation is
+    the one fredholm.nystrom accepts by determinant stability alone; each
+    doubling step makes one kpz_matrix call, on the 2L nodes.
     """
     disc = nystrom(half_line(tau), cfg,
                    matrix=lambda x: kpz_matrix(spec, x, tol))

@@ -1,5 +1,5 @@
 """Composite Gauss-Legendre panels: the one quadrature rule behind the
-Nystrom grids, the tail probe and the kernel integrals."""
+Nystrom grids and the kernel integrals."""
 
 import functools
 import math

@@ -3,6 +3,7 @@ double-double series on Python floats, bit for bit the 1-element array
 path; everything else goes through the array path; NaN gives NaN."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,3 +91,22 @@ def test_nan_in_nan_out():
         assert np.array_equal(got[finite], ref)
     assert np.array_equal(airy_ai(x), a, equal_nan=True)
     assert np.array_equal(airy_ai_prime(x), ap, equal_nan=True)
+
+
+def test_infinite_arguments_give_the_limits():
+    """Ai(+inf) = +0, Ai'(+inf) = -0 and Ai(-inf) = 0; Ai' has no limit at
+    -inf and gives NaN.  No warning on the way, through either path."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (math.inf, np.float64(math.inf)):
+            a, ap = airy_ai_pair(x)
+            assert (_bits(a), _bits(ap)) == (_bits(0.0), _bits(-0.0))
+            a, ap = airy_ai_pair(-x)
+            assert _bits(a) == _bits(0.0) and math.isnan(ap)
+        x = np.array([-math.inf, -12.0, 1.0, 12.0, math.inf])
+        a, ap = airy_ai_pair(x)
+        a_ref, ap_ref = airy_ai_pair(x[1:-1])
+        assert np.array_equal(a[1:-1], a_ref)
+        assert np.array_equal(ap[1:-1], ap_ref)
+        assert a[0] == a[-1] == 0.0 and math.isnan(ap[0])
+        assert _bits(ap[-1]) == _bits(-0.0)

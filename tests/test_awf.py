@@ -154,6 +154,17 @@ def test_identity_refuses_another_model(airy_table):
             identity_residual("MU01", model, airy_table, 0.0)
 
 
+def test_identities_refuse_another_endpoint(airy, airy_table):
+    """The table holds its endpoint: a tau elsewhere is refused, not read
+    as the endpoint (MU00-DOT at tau = 0.5 on [0, inf) gave -0.0777)."""
+    for name in ("MU00-DOT", "MU01", "CLOSURE", "QN-ODE"):
+        with pytest.raises(ValueError, match="endpoint"):
+            identity_residual(name, airy, airy_table, 0.5)
+    with pytest.raises(ValueError, match="endpoint"):
+        qn_ode_residual(airy_table, 0.5, n=1)
+    assert abs(identity_residual("MU00-DOT", airy, airy_table, 0.0)) < 1e-6
+
+
 def test_resolvent_kernel_vs_matrix_oracle(airy, airy_table):
     """The chi-built resolvent kernels against plain matrix algebra on
     K_w (I - K_w)^{-1}: a fully independent route."""

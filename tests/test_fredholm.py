@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fredtw import fredholm
 from fredtw.errors import SingularOperator
-from fredtw.fredholm import (GridConfig, IntervalUnion, fredholm_det,
-                             fredholm_series, gap_probability, half_line,
-                             nystrom, resolve)
+from fredtw.fredholm import (GridConfig, IntervalUnion, discretize,
+                             fredholm_det, fredholm_series, gap_probability,
+                             half_line, nystrom, resolve)
+from fredtw.kernel import kernel_diag
+from fredtw.quadrature import gl_panels
 from fredtw.wavefun import zero_model
 
 # Tracy-Widom GUE value F(0), frozen from an mpmath quadrature oracle
@@ -89,17 +92,63 @@ def test_grid_config_validation():
         GridConfig(nodes_per_panel=3)
 
 
-def test_gap_reuses_the_accepted_discretization(airy, monkeypatch):
-    """The L-doubling search hands back the factorized kernel it accepted:
-    F on [0, inf) costs the L and 2L builds of the one level tried."""
-    calls = []
-    inner = fredholm.discretize
+def test_gap_reuses_the_accepted_discretization(airy):
+    """The nested L-doubling search evaluates the model once per step, on
+    the panels the step adds: F on [0, inf), accepted at L = 8, costs one
+    pair pass on the 80 nodes of the 2L grid, and hands back the
+    factorized L level it read off the 2L matrix."""
+    sizes = []
 
-    def counting(model, grid):
-        calls.append(grid.nodes.size)
-        return inner(model, grid)
+    def pair(x):
+        sizes.append(np.size(x))
+        return airy.pair(x)
 
-    monkeypatch.setattr(fredholm, "discretize", counting)
-    F = gap_probability(airy, half_line(0.0))
-    assert len(calls) == 2
+    F = gap_probability(replace(airy, pair=pair), half_line(0.0))
+    assert sizes == [80]
+    assert F == gap_probability(airy, half_line(0.0))
     assert F == pytest.approx(F0_AIRY, abs=1e-9)
+
+
+@pytest.mark.parametrize("iu", [half_line(-1.25),
+                                IntervalUnion((-3.0, -1.5, 0.5, math.inf))],
+                         ids=["half-line", "union"])
+def test_grid_at_L_is_a_prefix_of_the_grid_at_2L(iu):
+    cfg = GridConfig()
+    for L in (8.0, 16.0, 32.0, 64.0):
+        coarse, fine = fredholm._grid(iu, cfg, L), fredholm._grid(iu, cfg, 2 * L)
+        n = coarse.nodes.size
+        assert fine.nodes.size == n + (L / 8.0) * cfg.nodes_per_panel
+        assert fine.nodes[:n].tobytes() == coarse.nodes.tobytes()
+        assert fine.weights[:n].tobytes() == coarse.weights.tobytes()
+
+
+@pytest.mark.parametrize("iu", [half_line(-8.0), half_line(0.0),
+                                half_line(4.0),
+                                IntervalUnion((-3.0, -1.5, 0.5, math.inf))],
+                         ids=["-8", "0", "4", "union"])
+def test_accepted_level_is_the_model_discretization(airy, iu):
+    """Level L, read off the leading block of the 2L matrix, is bit for
+    bit the kernel discretize() builds on the accepted grid."""
+    disc = nystrom(iu, model=airy)
+    ref = discretize(airy, disc.grid)
+    assert disc.K.tobytes() == ref.K.tobytes()
+    assert disc.psi.tobytes() == ref.psi.tobytes()
+    assert disc.psip.tobytes() == ref.psip.tobytes()
+    assert fredholm_det(disc) == fredholm_det(ref)
+
+
+def test_tail_bound_off_the_diagonal_is_the_64_point_pass(airy):
+    """The tail rule reads sum_i w_i |K(x_i, x_i)| over the 2L grid's
+    nodes in [tau + L, tau + 2L]; it is the integral the old separate
+    64-point pass took."""
+    cfg = GridConfig()
+    for tau in (-8.0, -4.0, 0.0, 2.0):
+        for L in (8.0, 16.0):
+            iu = half_line(tau)
+            fine = fredholm._grid(iu, cfg, 2 * L)
+            n = fredholm._grid(iu, cfg, L).nodes.size
+            K = discretize(airy, fine).K
+            bound = np.dot(fine.weights[n:], np.abs(np.diag(K)[n:]))
+            x, w = gl_panels(tau + L, tau + 2 * L, 64)
+            ref = np.dot(w, np.abs(kernel_diag(airy, x)))
+            assert abs(bound - ref) <= 1e-12 * ref, (tau, L)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import airy as scipy_airy
 
+from fredtw import kpz
 from fredtw.airy import airy_ai
 from fredtw.errors import WeightVanishes
 from fredtw.fredholm import (GridConfig, build_grid, discretize_matrix,
@@ -69,6 +71,23 @@ def test_weight_vanishes_guard():
 
 def test_gap_far_tail():
     assert kpz_gap(FiniteTempSpec(1.0, 20.0), 8.0) >= 1.0 - 1e-6
+
+
+def test_gap_makes_one_matrix_per_doubling_step(monkeypatch):
+    """Each step of the nested L-doubling search builds one kernel matrix,
+    on the 2L grid, and reads level L off its leading block: at c2 = 2,
+    tau = 0 the search accepts L = 16 after two steps."""
+    sizes = []
+    inner = kpz.kpz_matrix
+
+    def counting(spec, nodes, tol=1e-10):
+        sizes.append(np.size(nodes))
+        return inner(spec, nodes, tol)
+
+    monkeypatch.setattr(kpz, "kpz_matrix", counting)
+    spec = FiniteTempSpec(1.0, 2.0, phi=lambda w: scipy_airy(w)[0])
+    assert 0.0 < kpz_gap(spec, 0.0) < 1.0
+    assert sizes == [80, 160]
 
 
 def test_gap_bounds_and_monotone_tau():

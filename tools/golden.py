@@ -26,6 +26,9 @@ GOLDEN = (
     ("verify", "--tau", "-1", "--model", "damped"),
     ("eval-kernel", "--pairs", "50", "--lo", "-9", "--hi", "9"),
     ("eval-kernel", "--model", "damped", "--pairs", "50"),
+    ("det", "--tau-range=-12:-9:4"),
+    ("lax", "--endpoints=-3,-1.5,0.5", "--xi=1.25", "--N", "2"),
+    ("det", "--model", "damped", "--tau-range=-1:3:5"),
 )
 THREADS = "1"
 
