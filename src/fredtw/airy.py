@@ -27,7 +27,10 @@ Two regimes:
   x = 104 and to 0 just past 105; from there on, +inf included, the pair
   is (+0.0, -0.0).  At -inf it is (0.0, nan): Ai' has no limit.
 
-Everything is vectorized over numpy arrays; scalars in, scalars out.  A
+Everything is vectorized over numpy arrays; scalars in, scalars out.  An
+array runs in blocks of _BLOCK elements, so the memory the series needs
+does not grow with its size; the series stops once every term of a block
+is negligible, so an element's bits can depend on the block around it.  A
 scalar inside the seam runs the same series, operation for operation, on
 Python floats: a 1-element array pays numpy's per-call overhead on each
 of the ~200 double-double operations per term, and costs about as much as
@@ -47,6 +50,7 @@ SEAM = 9.0
 _X_ZERO = 1e3
 _N_SERIES = 80
 _N_ASYMP = 46
+_BLOCK = 16384      # elements per pass of _ai_both (~128 KB per temporary)
 
 _SQRTPI = 1.7724538509055160273
 
@@ -216,9 +220,21 @@ def _asymp_neg(x):
 # ----------------------------------------------------------------------
 
 def _ai_both(x):
+    """(Ai, Ai') of an array, _BLOCK elements at a time (in flat order)
+    into preallocated outputs: the series' temporaries stay block-sized
+    whatever the size of x."""
     x = np.asarray(x, dtype=float)
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
+    ai = np.empty(x.shape)
+    aip = np.empty(x.shape)
+    flat, flat_ai, flat_aip = x.reshape(-1), ai.reshape(-1), aip.reshape(-1)
+    for s in range(0, flat.size, _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        _ai_block(flat[blk], flat_ai[blk], flat_aip[blk])
+    return ai, aip
+
+
+def _ai_block(x, ai, aip):
+    """Write (Ai, Ai') of the 1-d array x into ai and aip."""
     mid = np.abs(x) <= SEAM
     pos = x > SEAM
     neg = x < -SEAM
@@ -228,11 +244,9 @@ def _ai_both(x):
         ai[pos], aip[pos] = _asymp_pos(x[pos])
     if np.any(neg):
         ai[neg], aip[neg] = _asymp_neg(x[neg])
-    # no branch takes NaN: NaN in, NaN out.  Written last, so ai and aip
-    # stay untouched while the series' temporaries are live (peak RSS).
+    # no branch takes NaN: NaN in, NaN out
     nan = np.isnan(x)
     ai[nan] = aip[nan] = np.nan
-    return ai, aip
 
 
 def _pair(x):

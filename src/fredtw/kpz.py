@@ -2,7 +2,7 @@
 Finite-temperature (Fermi-weighted) Airy kernels and their gap
 probabilities:
 
-    K(xi, zeta) = int_R  phi(lam + g xi) phi(lam + g zeta)
+    K(xi, zeta) = int_R  Ai(lam + g xi) Ai(lam + g zeta)
                          / (c1 exp(-c2 lam) + 1)  dlam,
 
 the generic weighted form int phi phi / f(lam) dlam on a finite window,
@@ -10,39 +10,47 @@ and the closed-form reparametrization u(x) solving
 u' = -c1 exp(-c2 u) - 1 that identifies the weighted kernel with a
 profile-type one at finite reference point.
 
-The kernel is evaluated by direct lambda-integration on a two-sided
-truncated grid: the Fermi factor kills the left tail (it decays like
-exp(c2 lam)/c1), the phi decay kills the right one.  Gap probabilities
-reuse the Nystrom determinant machinery through an externally built
-kernel matrix with a lambda-grid shared across all node pairs.
+Two evaluations of K.  kpz_kernel integrates the form above pointwise on
+a two-sided truncated lambda-grid (the Fermi factor kills the left tail,
+the Airy decay the right one); it is the oracle.  kpz_matrix builds all
+node pairs at once from the equivalent form
+
+    K(xi, zeta) = int_R sigma'(lam) K_Ai(lam + g xi, lam + g zeta) dlam
+
+(Fubini, with K_Ai(a, b) = int_0^inf Ai(a+t) Ai(b+t) dt and sigma the
+Fermi factor, sigma(-inf) = 0).  sigma' is a bump of width 1/c2 around
+lam0 = ln(c1)/c2, so the lambda-window is O(1/c2) wide whatever c2, and
+K_Ai has the Christoffel-Darboux form in (Ai, Ai'), which one pass of the
+Airy engine gives.  Gap probabilities reuse the Nystrom determinant
+machinery through that externally built kernel matrix.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .airy import airy_ai
+from .airy import airy_ai, airy_ai_pair
 from .errors import NonConvergent, WeightVanishes
 from .fredholm import fredholm_det, half_line, nystrom
 from .quadrature import gl_panels
 
 WEIGHT_FLOOR = 1e-14
+# sigma' has fallen below 1e-16 of its peak this many units of c2*lam
+# from lam0; past there kpz_matrix's lambda-window ends
+_SIGMA_PRIME_SPAN = math.log(1e16)
 
 
 @dataclass(frozen=True)
 class FiniteTempSpec:
     c1: float
     c2: float
-    phi: object = field(default=None)
     gamma: float = 1.0
 
     def __post_init__(self):
         if not (self.c1 > 0.0 and self.c2 > 0.0):
             raise ValueError("c1 and c2 must be strictly positive")
-        if self.phi is None:
-            object.__setattr__(self, "phi", airy_ai)
 
     def fermi(self, lam):
         """The weight 1/(c1 e^{-c2 lam} + 1), evaluated stably."""
@@ -54,6 +62,18 @@ class FiniteTempSpec:
             self.c1 + np.exp(self.c2 * lam[neg]))
         out[~neg] = 1.0 / (self.c1 * np.exp(-self.c2 * lam[~neg]) + 1.0)
         return out
+
+    def fermi_prime(self, lam):
+        """sigma'(lam) = c2 e^{-|u|}/(1 + e^{-|u|})^2 with
+        u = c2 lam - ln c1: the derivative of fermi, even in u."""
+        e = np.exp(-np.abs(self.c2 * np.asarray(lam, dtype=float)
+                           - math.log(self.c1)))
+        return self.c2 * e / (1.0 + e) ** 2
+
+
+def _check_tol(tol):
+    if not tol >= 1e-12:
+        raise ValueError("tol must be >= 1e-12")
 
 
 def _lambda_cuts(spec, x_min, tol):
@@ -76,15 +96,13 @@ def _panel_len(spec):
 def kpz_kernel(spec, xi, zeta, tol=1e-10):
     """Fermi-weighted kernel value at a single pair, with the quadrature
     error estimated by panel halving."""
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
+    _check_tol(tol)
     lo, hi = _lambda_cuts(spec, min(xi, zeta), tol)
     base = _panel_len(spec)
     vals = []
     for plen in (base, 0.5 * base):
         lam, w = gl_panels(lo, hi, 32, plen)
-        f = np.asarray(spec.phi(lam + spec.gamma * xi), dtype=float) \
-            * np.asarray(spec.phi(lam + spec.gamma * zeta), dtype=float)
+        f = airy_ai(lam + spec.gamma * xi) * airy_ai(lam + spec.gamma * zeta)
         vals.append(float(np.dot(w * spec.fermi(lam), f)))
     if abs(vals[1] - vals[0]) > tol:
         raise NonConvergent("lambda-quadrature halving estimate %.3e "
@@ -116,19 +134,42 @@ def generic_ft_kernel(phi, f_weight, gamma, lambda_lo, lambda_hi,
 
 
 def kpz_matrix(spec, nodes, tol=1e-10):
-    """The kernel matrix on a set of nodes, all pairs at once: with
-    Phi[i,l] = phi(lam_l + g x_i) the matrix is Phi W Phi^T for the
-    Fermi-weighted lambda quadrature W, hence symmetric positive
-    semi-definite by construction."""
+    """The kernel matrix on a set of distinct nodes, all pairs at once,
+    from the sigma'-form: with A, B = Ai, Ai' at lam_l + g x_i and the
+    weights w_l sigma'(lam_l) folded into A, N = A B^T and
+
+        K_ij = (N_ij - N_ji) / (g (x_i - x_j)),
+        K_ii = sum_l w_l sigma'(lam_l) (B_il^2 - (lam_l + g x_i) A_il^2),
+
+    bit-for-bit symmetric.  The lambda-window is |lam - lam0| <= 36.8/c2
+    (sigma' below 1e-16 of its peak past it), cut on the right where
+    _lambda_cuts cuts the Airy tail; 16-point panels of _panel_len(spec)
+    and of half that give the result and its error estimate."""
+    _check_tol(tol)
     x = np.asarray(nodes, dtype=float)
-    lo, hi = _lambda_cuts(spec, float(np.min(x)), tol)
+    gx = spec.gamma * x
+    den = gx[:, None] - gx[None, :]
+    np.fill_diagonal(den, 1.0)
+    if np.any(den == 0.0):
+        raise ValueError("kpz_matrix needs distinct nodes")
+    lam0 = math.log(spec.c1) / spec.c2
+    lo = lam0 - _SIGMA_PRIME_SPAN / spec.c2
+    hi = min(lam0 + _SIGMA_PRIME_SPAN / spec.c2,
+             _lambda_cuts(spec, float(np.min(x)), tol)[1])
+    # an Airy cut left of the window leaves nothing above rounding: an
+    # empty window, K = 0
+    hi = max(hi, lo)
     base = _panel_len(spec)
     mats = []
     for plen in (base, 0.5 * base):
-        lam, w = gl_panels(lo, hi, 32, plen)
-        Phi = np.asarray(spec.phi(lam[None, :] + spec.gamma * x[:, None]),
-                         dtype=float)
-        mats.append((Phi * (w * spec.fermi(lam))[None, :]) @ Phi.T)
+        lam, w = gl_panels(lo, hi, 16, plen)
+        ws = w * spec.fermi_prime(lam)
+        a = lam[None, :] + gx[:, None]
+        A, B = airy_ai_pair(a)
+        N = (A * ws[None, :]) @ B.T
+        K = (N - N.T) / den
+        np.fill_diagonal(K, (B * B - a * A * A) @ ws)
+        mats.append(K)
     if float(np.max(np.abs(mats[1] - mats[0]))) > tol:
         raise NonConvergent("kernel-matrix halving estimate exceeds tol")
     return mats[1]
@@ -139,8 +180,10 @@ def kpz_gap(spec, tau, cfg=None, tol=1e-10):
 
     The kernel is a bare matrix, not a WaveModel's, so the truncation is
     the one fredholm.nystrom accepts by determinant stability alone; each
-    doubling step makes one kpz_matrix call, on the 2L nodes.
+    doubling step makes one kpz_matrix call (the sigma'-form on an
+    O(1/c2) lambda-window, one Airy pass per rule), on the 2L nodes.
     """
+    _check_tol(tol)
     disc = nystrom(half_line(tau), cfg,
                    matrix=lambda x: kpz_matrix(spec, x, tol))
     return fredholm_det(disc).value

@@ -3,6 +3,7 @@ double-double series on Python floats, bit for bit the 1-element array
 path; everything else goes through the array path; NaN gives NaN."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,3 +111,39 @@ def test_infinite_arguments_give_the_limits():
         assert np.array_equal(ap[1:-1], ap_ref)
         assert a[0] == a[-1] == 0.0 and math.isnan(ap[0])
         assert _bits(ap[-1]) == _bits(-0.0)
+
+
+def test_large_array_is_its_blocks_bit_for_bit():
+    """An array longer than a block is evaluated block by block: the
+    result is the concatenation of the calls on its blocks, specials in
+    later blocks included."""
+    B = airy._BLOCK
+    x = np.linspace(-30.0, 30.0, 3 * B + 17)
+    x[B + 5] = math.nan
+    x[2 * B + 1], x[2 * B + 2] = 0.0, -0.0
+    x[3 * B + 3], x[3 * B + 9] = math.inf, -math.inf
+    parts = [airy_ai_pair(x[s:s + B]) for s in range(0, x.size, B)]
+    for got, ref in zip(airy_ai_pair(x), zip(*parts)):
+        assert got.tobytes() == np.concatenate(ref).tobytes()
+
+
+def test_2d_input_keeps_its_shape():
+    X = np.linspace(-12.0, 12.0, 3 * (airy._BLOCK // 2 + 3)).reshape(3, -1)
+    for Y in (X, X.T):                    # C- and F-ordered
+        flat = airy_ai_pair(np.ascontiguousarray(Y).ravel())
+        for got, ref in zip(airy_ai_pair(Y), flat):
+            assert got.shape == Y.shape
+            assert np.array_equal(got.ravel(), ref)
+
+
+def test_large_array_memory_is_bounded():
+    """The series' temporaries are block-sized: for 400,000 points the
+    traced peak is the input and the two outputs (9.6 MB) plus a few MB,
+    where one pass over the whole array needs about 70 MB."""
+    tracemalloc.start()
+    try:
+        airy_ai_pair(np.linspace(-30.0, 30.0, 400_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import airy as scipy_airy
 
 from fredtw import kpz
 from fredtw.airy import airy_ai
@@ -19,7 +18,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         FiniteTempSpec(1.0, 0.0)
     s = FiniteTempSpec(1.0, 2.0)
-    assert s.phi is airy_ai and s.gamma == 1.0
+    assert s.gamma == 1.0
+    with pytest.raises(TypeError):      # the kernel is Ai's; no phi
+        FiniteTempSpec(1.0, 2.0, phi=airy_ai)
 
 
 def test_fermi_weight_limits():
@@ -42,8 +43,6 @@ def test_zero_temperature_limit_kernel(airy):
 
 def test_zero_phi():
     z = lambda w: np.zeros_like(np.asarray(w, dtype=float))
-    s = FiniteTempSpec(1.0, 2.0, phi=z)
-    assert kpz_kernel(s, 0.0, 1.0) == 0.0
     assert generic_ft_kernel(z, lambda l: np.ones_like(l), 1.0,
                              0.0, 5.0, 0.0, 1.0) == 0.0
 
@@ -85,9 +84,65 @@ def test_gap_makes_one_matrix_per_doubling_step(monkeypatch):
         return inner(spec, nodes, tol)
 
     monkeypatch.setattr(kpz, "kpz_matrix", counting)
-    spec = FiniteTempSpec(1.0, 2.0, phi=lambda w: scipy_airy(w)[0])
+    spec = FiniteTempSpec(1.0, 2.0)
     assert 0.0 < kpz_gap(spec, 0.0) < 1.0
     assert sizes == [80, 160]
+
+
+MATRIX_SPECS = [FiniteTempSpec(1.0, c2) for c2 in (1.0, 5.0, 20.0, 40.0)] \
+    + [FiniteTempSpec(0.3, 40.0, gamma=0.7)]
+
+
+@pytest.mark.parametrize("tau", [-4.0, 0.25])
+@pytest.mark.parametrize("spec", MATRIX_SPECS,
+                         ids=lambda s: "c1=%g,c2=%g,g=%g" % (s.c1, s.c2,
+                                                              s.gamma))
+def test_matrix_is_the_pointwise_kernel(spec, tau):
+    """The sigma'-form matrix agrees with the sigma-form kernel entrywise
+    on Nystrom nodes -- the first node (the one the Airy cut is gauged
+    at), its neighbour (a closest pair: the CD quotient's worst
+    cancellation) and the last -- and is bit-for-bit symmetric."""
+    x = build_grid(half_line(tau), GridConfig()).nodes
+    K = kpz_matrix(spec, x)
+    assert np.array_equal(K, K.T)
+    picks = (0, 1, x.size - 1)
+    for n, i in enumerate(picks):
+        for j in picks[n:]:
+            assert abs(K[i, j] - kpz_kernel(spec, x[i], x[j])) < 1e-12, (i, j)
+
+
+def test_matrix_airy_work_does_not_grow_with_c2(monkeypatch):
+    """sigma' has width 1/c2 and so have the panels: the lambda-window
+    costs the same number of Airy points at every c2 >= 4."""
+    points = []
+    inner = kpz.airy_ai_pair
+
+    def counting(a):
+        points[-1] += np.size(a)
+        return inner(a)
+
+    monkeypatch.setattr(kpz, "airy_ai_pair", counting)
+    x = build_grid(half_line(0.0), GridConfig()).nodes
+    for c2 in (10.0, 20.0, 40.0):
+        points.append(0)
+        kpz_matrix(FiniteTempSpec(1.0, c2), x)
+    assert points[0] > 0 and points == [points[0]] * 3
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-13, float("nan")])
+def test_tol_below_floor_refused(tol):
+    s = FiniteTempSpec(1.0, 5.0)
+    with pytest.raises(ValueError):
+        kpz_kernel(s, 0.0, 1.0, tol)
+    with pytest.raises(ValueError):
+        kpz_matrix(s, np.array([0.0, 1.0]), tol)
+    with pytest.raises(ValueError):
+        kpz_gap(s, 0.0, tol=tol)
+
+
+def test_matrix_refuses_repeated_nodes():
+    with pytest.raises(ValueError):
+        kpz_matrix(FiniteTempSpec(1.0, 5.0), np.array([0.0, 1.0, 0.0]))
 
 
 def test_gap_bounds_and_monotone_tau():

@@ -29,6 +29,8 @@ GOLDEN = (
     ("det", "--tau-range=-12:-9:4"),
     ("lax", "--endpoints=-3,-1.5,0.5", "--xi=1.25", "--N", "2"),
     ("det", "--model", "damped", "--tau-range=-1:3:5"),
+    ("kpz", "--c1", "1", "--c2", "1", "--tau-range=-4:2:4"),
+    ("kpz", "--c1", "0.3", "--c2", "40", "--tau-range=-1:1:3"),
 )
 THREADS = "1"
 
