@@ -10,7 +10,7 @@ finite-temperature kernels.
 """
 
 from .errors import (NonConvergent, PsiTooSmall, SingularOperator,
-                     TailNotResolved, WeightVanishes)
+                     WeightVanishes)
 from .wavefun import (WaveModel, airy_model, damped_airy_model,
                       tabulated_model, zero_model, psi_second,
                       check_regularity)
@@ -26,8 +26,8 @@ from .hamiltonian import (ROUTES, hamiltonian, hamiltonian_scaling_residual,
 from .lax import (LaxTruncation, build_A, build_B, build_truncation,
                   lax_system_residual, schlesinger_mask,
                   schlesinger_residual)
-from .twsolver import (QSolution, SolverConfig, det_via_alternative,
-                       det_via_functional, q_ode_residual, solve_q)
+from .twsolver import (QSolution, det_via_alternative, det_via_functional,
+                       q_ode_residual, solve_q)
 from .kpz import (FiniteTempSpec, generic_ft_kernel, kpz_gap, kpz_kernel,
                   u_reparam_check)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .awf import IDENTITIES, build_awf, identity_residual
 from .errors import NonConvergent, PsiTooSmall, SingularOperator, \
-    TailNotResolved, WeightVanishes
+    WeightVanishes
 from .fredholm import GridConfig, IntervalUnion, gap_probability, \
     half_line, nystrom
 from .hamiltonian import ROUTES, hamiltonian
@@ -27,7 +27,7 @@ from .kernel import cd_kernel, kernel_direct
 from .kpz import FiniteTempSpec, kpz_gap
 from .lax import build_truncation, lax_system_residual, schlesinger_mask, \
     schlesinger_residual
-from .twsolver import SolverConfig, det_via_alternative, det_via_functional, \
+from .twsolver import det_via_alternative, det_via_functional, \
     q_ode_residual, solve_q
 from .wavefun import airy_model, damped_airy_model, zero_model
 
@@ -66,16 +66,15 @@ def _parse_range(text):
 
 
 def _load_config(path):
-    """Flat sectioned key=value file -> (GridConfig, SolverConfig, seed).
+    """Flat sectioned key=value file -> (GridConfig, seed).
 
-    [grid] and [solver] accept the fields of GridConfig and SolverConfig
-    (keys case-insensitive, int fields read as int, the rest as float);
-    [run] accepts seed.  Any other section or key is an error."""
+    [grid] accepts the fields of GridConfig (keys case-insensitive, int
+    fields read as int, the rest as float); [run] accepts seed.  Any
+    other section or key is an error."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ValueError("cannot read config file %r" % path)
     sections = {"grid": {f.name: f.type for f in fields(GridConfig)},
-                "solver": {f.name: f.type for f in fields(SolverConfig)},
                 "run": {"seed": int}}
     kw = {sec: {} for sec in sections}
     for sec in cp.sections():
@@ -88,8 +87,7 @@ def _load_config(path):
             name = names[key]
             get = cp.getint if sections[sec][name] is int else cp.getfloat
             kw[sec][name] = get(sec, key)
-    return (GridConfig(**kw["grid"]), SolverConfig(**kw["solver"]),
-            kw["run"].get("seed", 0))
+    return GridConfig(**kw["grid"]), kw["run"].get("seed", 0)
 
 
 def _write_csv(out_path, header_meta, columns, rows):
@@ -124,7 +122,7 @@ def _meta(args, cfg):
 # ----------------------------------------------------------------------
 # subcommands
 
-def _cmd_eval_kernel(args, gcfg, scfg, seed):
+def _cmd_eval_kernel(args, gcfg, seed):
     model = _MODELS[args.model]()
     rows = []
     if args.pairs:
@@ -149,7 +147,7 @@ def _cmd_eval_kernel(args, gcfg, scfg, seed):
     return 0
 
 
-def _cmd_det(args, gcfg, scfg, seed):
+def _cmd_det(args, gcfg, seed):
     model = _MODELS[args.model]()
     taus = _parse_range(args.tau_range) if args.tau_range \
         else np.array([args.tau])
@@ -159,12 +157,12 @@ def _cmd_det(args, gcfg, scfg, seed):
     return 0
 
 
-def _cmd_tw_solve(args, gcfg, scfg, seed):
+def _cmd_tw_solve(args, gcfg, seed):
     model = _MODELS[args.model]()
-    sol = solve_q(model, args.tau_min, scfg)
+    sol = solve_q(model, args.tau_min)
     taus = _parse_range(args.tau_range) if args.tau_range \
         else np.array([args.tau_min])
-    interior = np.concatenate([p.nodes[1:-1] for p, _ in sol._slices()])
+    interior = np.concatenate([p.nodes[1:-1] for p in sol.panels])
     rows = []
     for t in taus:
         t = float(t)
@@ -172,10 +170,10 @@ def _cmd_tw_solve(args, gcfg, scfg, seed):
         node = float(interior[np.argmin(np.abs(interior - t))])
         rows.append([t,
                      sol.interp(sol.q, t),
-                     det_via_functional(sol, model, t),
-                     det_via_alternative(sol, model, t),
+                     det_via_functional(sol, t),
+                     det_via_alternative(sol, t),
                      gap_probability(model, half_line(t), gcfg),
-                     q_ode_residual(sol, model, node)])
+                     q_ode_residual(sol, node)])
     meta = _meta(args, gcfg)
     meta.update(tau_min=args.tau_min, T_match=sol.match_T,
                 iterations=sol.iterations)
@@ -185,7 +183,7 @@ def _cmd_tw_solve(args, gcfg, scfg, seed):
     return 0
 
 
-def _cmd_hamiltonian(args, gcfg, scfg, seed):
+def _cmd_hamiltonian(args, gcfg, seed):
     model = _MODELS[args.model]()
     table = build_awf(model, nystrom(half_line(args.tau), gcfg, model),
                       max(args.n + 2, 3))
@@ -203,7 +201,7 @@ def _cmd_hamiltonian(args, gcfg, scfg, seed):
     return 0
 
 
-def _cmd_lax(args, gcfg, scfg, seed):
+def _cmd_lax(args, gcfg, seed):
     model = _MODELS[args.model]()
     endpoints = tuple(float(t) for t in args.endpoints.split(","))
     iu = IntervalUnion(endpoints + (math.inf,))
@@ -240,7 +238,7 @@ def _cmd_lax(args, gcfg, scfg, seed):
     return 0 if all(c["pass"] for c in checks) else 2
 
 
-def _cmd_verify(args, gcfg, scfg, seed):
+def _cmd_verify(args, gcfg, seed):
     model = _MODELS[args.model]()
     table = build_awf(model, nystrom(half_line(args.tau), gcfg, model),
                       args.N)
@@ -256,7 +254,7 @@ def _cmd_verify(args, gcfg, scfg, seed):
     return 0 if all(c["pass"] for c in checks) else 2
 
 
-def _cmd_kpz(args, gcfg, scfg, seed):
+def _cmd_kpz(args, gcfg, seed):
     spec = FiniteTempSpec(args.c1, args.c2)
     taus = _parse_range(args.tau_range)
     rows = [[float(t), kpz_gap(spec, float(t), gcfg)] for t in taus]
@@ -343,14 +341,13 @@ def run(argv):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        gcfg, scfg, seed = (_load_config(args.config) if args.config
-                            else (GridConfig(), SolverConfig(), 0))
-        return args.func(args, gcfg, scfg, seed)
+        gcfg, seed = (_load_config(args.config) if args.config
+                      else (GridConfig(), 0))
+        return args.func(args, gcfg, seed)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (NonConvergent, TailNotResolved, PsiTooSmall, SingularOperator,
-            WeightVanishes) as e:
+    except (NonConvergent, PsiTooSmall, SingularOperator, WeightVanishes) as e:
         print("computation failed: %s" % e, file=sys.stderr)
         return 2
 

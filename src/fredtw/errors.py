@@ -2,13 +2,8 @@
 
 
 class NonConvergent(RuntimeError):
-    """An adaptive quadrature or an iterative solver failed to meet its
-    tolerance within its caps."""
-
-
-class TailNotResolved(RuntimeError):
-    """Doubling the truncation length never met the tail and
-    determinant-stability criteria."""
+    """An adaptive quadrature, a truncation doubling or an iterative
+    solver failed to meet its tolerance within its caps."""
 
 
 class SingularOperator(RuntimeError):

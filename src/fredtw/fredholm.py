@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import SingularOperator, TailNotResolved
+from .errors import NonConvergent, SingularOperator
 from .kernel import _diag_from, _matrix_from, _node_pair
 from .quadrature import gl_panels
 
@@ -182,8 +182,8 @@ def nystrom(iu, cfg=None, model=None, matrix=None):
             carried = d2
             L *= 2.0
         else:
-            raise TailNotResolved("truncation unresolved up to L_max=%g"
-                                  % cfg.L_max)
+            raise NonConvergent("truncation unresolved up to L_max=%g"
+                                % cfg.L_max)
     det = fredholm_det(disc)
     if det.sign != 1.0:
         raise SingularOperator("det(I - K) = %.3e is not positive"

@@ -21,40 +21,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .awf import build_awf
+from .awf import FD_STEP, build_awf
 from .fredholm import nystrom
-
-FD_STEP = 1e-4
 
 
 def _chi(table, tau, n, a):
     return 0.0 if n < 0 else table.eval_chi(n, a, tau)
 
 
-def build_A(table, j_parity, N, tau=None):
-    """Residue matrix A_j at the endpoint tau (default: the first finite
-    endpoint of the table's union).
+def build_A(table, j, N):
+    """Residue matrix A_j at tau_j, the finite endpoint j (0-based) of
+    the table's union.
 
     Entry (2n+alpha, 2p+beta) is
-        -(u0_dot/gamma) (-1)^{j+beta}
+        -(u0_dot/gamma) (-1)^{j+1+beta}
             sum_{k=0}^{n-p} (chi_{n-p-k,-beta} + chi_{n-p-k-1,-beta}) chi_{k,alpha}
-    with every chi evaluated at tau, the index conventions
-    chi_{n,-0} = chi_{n,1}, chi_{n,-1} = chi_{n,0}, chi_{-p,a} = 0, and
-    j_parity = (-1)^j for the 1-based endpoint number j (so -1 at a left
-    endpoint, +1 at a right one).  Block upper-triangular entries (p > n)
-    are exact zeros of the empty sum.
+    with every chi evaluated at tau_j and the index conventions
+    chi_{n,-0} = chi_{n,1}, chi_{n,-1} = chi_{n,0}, chi_{-p,a} = 0; the
+    parity (-1)^{j+1} is -1 at a left endpoint and +1 at a right one.
+    Block upper-triangular entries (p > n) are exact zeros of the empty
+    sum.
     """
     if table.N < N:
         raise ValueError("need table.N >= N")
-    if tau is None:
-        tau = table.grid.iu.finite_endpoints[0]
+    tau = table.grid.iu.finite_endpoints[j]
     m = table.model
     size = 2 * (N + 1)
     A = np.zeros((size, size))
     # cache the handful of chi values actually used
     c = {(n, a): _chi(table, tau, n, a) for n in range(N + 1) for a in (0, 1)}
     c.update({(-1, 0): 0.0, (-1, 1): 0.0})
-    pref = -(m.u0_dot / m.gamma) * float(j_parity)
+    pref = -(m.u0_dot / m.gamma) * (-1.0) ** (j + 1)
     for n in range(N + 1):
         for p in range(n + 1):
             for beta in (0, 1):
@@ -139,9 +136,7 @@ class LaxTruncation:
 
 def build_truncation(model, iu, N, cfg=None):
     table = build_awf(model, nystrom(iu, cfg, model), N + 1)
-    taus = iu.finite_endpoints
-    A = tuple(build_A(table, (-1.0) ** (j + 1), N, tau=taus[j])
-              for j in range(len(taus)))
+    A = tuple(build_A(table, j, N) for j in range(len(iu.finite_endpoints)))
     return LaxTruncation(N, table, A)
 
 
@@ -195,9 +190,7 @@ def schlesinger_residual(trunc, i, j, h=FD_STEP):
     diagnostic.
     """
     N = trunc.N
-    Ap, Am = (build_A(t, trunc.parities[i], N,
-                      tau=t.grid.iu.finite_endpoints[i])
-              for t in trunc.table.moved(j, h))
+    Ap, Am = (build_A(t, i, N) for t in trunc.table.moved(j, h))
     fd = (Ap - Am) / (2.0 * h)
     if i != j:
         rhs = _comm(trunc.A[i], trunc.A[j]) / (trunc.taus[i] - trunc.taus[j])

@@ -25,35 +25,35 @@ computed once per solution on Gauss-Legendre panels.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import NonConvergent, TailNotResolved
+from .errors import NonConvergent
 from .quadrature import gl_panels
-from .wavefun import psi_second_from
+from .wavefun import WaveModel, psi_second_from
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    panel_len: float = 2.0          # target spectral-element length
-    panel_degree: int = 20          # Lobatto degree per element
-    T_match: Optional[float] = None  # default max(tau_min + 10, 8)
-    match_tol: float = 1e-9
-    newton_tol: float = 1e-10       # on the Newton step, not on |F|
-    max_newton: int = 40
-    integ_tail_tol: float = 1e-10
+PANEL_LEN = 2.0         # target spectral-element length
+PANEL_DEGREE = 20       # Lobatto degree per element
+MATCH_TOL = 1e-9        # on |q - psi| at T_match
+NEWTON_TOL = 1e-10      # on the Newton step, not on |F|
+MAX_NEWTON = 40
+TAIL_TOL = 1e-10        # on each of the three tail integrals
+TAIL_PANEL = 2.0        # panel length of the tail rule; its check halves it
+TAIL_NODES = 20
 
 
 @dataclass(frozen=True)
 class Panel:
     nodes: np.ndarray     # ascending Lobatto points on [a, b]
     D: np.ndarray         # first-derivative matrix on the panel
+    s: slice              # the panel's nodes within the concatenated grid
 
 
 @dataclass(frozen=True)
 class QSolution:
+    model: WaveModel
     tau_min: float
     match_T: float
     panels: Tuple[Panel, ...]
@@ -65,23 +65,16 @@ class QSolution:
     iterations: int             # predictor-corrector passes: always 1
     residual_norm: float
 
-    def _slices(self):
-        off = 0
-        for p in self.panels:
-            m = p.nodes.size
-            yield p, slice(off, off + m)
-            off += m
-
     def _locate(self, t):
-        for p, s in self._slices():
+        for p in self.panels:
             if p.nodes[0] - 1e-12 <= t <= p.nodes[-1] + 1e-12:
-                return p, s
+                return p
         raise ValueError("point %g outside the solution domain" % t)
 
     def interp(self, vals, t):
         """Barycentric interpolation of nodal values to a point."""
-        p, s = self._locate(t)
-        x, v = p.nodes, np.asarray(vals)[s]
+        p = self._locate(t)
+        x, v = p.nodes, np.asarray(vals)[p.s]
         d = t - x
         hit = int(np.argmin(np.abs(d)))
         if abs(d[hit]) < 1e-13 * max(1.0, abs(t)):
@@ -99,23 +92,21 @@ class QSolution:
         vals = np.asarray(vals, dtype=float)
         out = np.empty_like(vals)
         acc = 0.0
-        for p, s in self._slices():
+        for p in self.panels:
             A = p.D.copy()
-            b = vals[s].copy()
+            b = vals[p.s].copy()
             A[0] = 0.0
             A[0, 0] = 1.0
             b[0] = acc
             g = np.linalg.solve(A, b)
-            out[s] = g
+            out[p.s] = g
             acc = float(g[-1])
         return out
 
 
 def _cheb(n):
     """Chebyshev-Lobatto points (descending on [-1,1]) and the
-    differentiation matrix, Trefethen's construction."""
-    if n == 0:
-        return np.array([1.0]), np.zeros((1, 1))
+    differentiation matrix, Trefethen's construction (n >= 1)."""
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.r_[2.0, np.ones(n - 1), 2.0] * (-1.0) ** np.arange(n + 1)
     X = np.tile(x, (n + 1, 1)).T
@@ -125,23 +116,16 @@ def _cheb(n):
     return x, D
 
 
-def _panel(a, b, p):
-    x, D = _cheb(p)
-    t = 0.5 * (a + b) - 0.5 * (b - a) * x       # ascending since x descends
-    return Panel(nodes=t, D=D * (-2.0 / (b - a)))
-
-
-def _make_panels(a, b, cfg):
-    n_el = max(1, int(math.ceil((b - a) / cfg.panel_len)))
+def _make_panels(a, b):
+    """Spectral elements of length at most PANEL_LEN tiling [a, b]."""
+    n_el = max(1, int(math.ceil((b - a) / PANEL_LEN)))
     edges = np.linspace(a, b, n_el + 1)
-    return tuple(_panel(lo, hi, cfg.panel_degree)
-                 for lo, hi in zip(edges[:-1], edges[1:]))
-
-
-def _refuse_damped(model):
-    if model.u0_ddot != 0.0:
-        raise ValueError("the q-equation route needs u0_ddot = 0 (got %g); "
-                         "see notes/decisions.md" % model.u0_ddot)
+    x, D = _cheb(PANEL_DEGREE)
+    m = x.size
+    # nodes ascend on each panel since x descends
+    return tuple(Panel(nodes=0.5 * (lo + hi) - 0.5 * (hi - lo) * x,
+                       D=D * (-2.0 / (hi - lo)), s=slice(k * m, (k + 1) * m))
+                 for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])))
 
 
 def _ode_rhs(model, t, q):
@@ -157,14 +141,22 @@ def _ode_jac(model, t, q):
     return (g * g / ud ** 2) * (model.v0 + t) + (2.0 * g / ud) * (3.0 * q ** 2)
 
 
+def _ode_residual(model, panels, t, q):
+    """(q', q'' - rhs) at every node, q'' by double spectral
+    differentiation on each panel."""
+    rhs = _ode_rhs(model, t, q)
+    qp = np.empty_like(q)
+    r = np.empty_like(q)
+    for p in panels:
+        qp[p.s] = p.D @ q[p.s]
+        r[p.s] = (p.D @ qp[p.s]) - rhs[p.s]
+    return qp, r
+
+
 def _functional_integrand(model, q, qp, qpp):
     """q((u0_dot/gamma) q'' - q^3) - (u0_dot/gamma) q'^2, vectorized."""
     g, ud = model.gamma, model.u0_dot
     return q * ((ud / g) * qpp - q ** 3) - (ud / g) * qp ** 2
-
-
-TAIL_PANEL = 2.0    # panel length of the tail rule; its check halves it
-TAIL_NODES = 20
 
 
 def _tail_panel_sums(model, T, length, panel_len):
@@ -180,26 +172,26 @@ def _tail_panel_sums(model, T, length, panel_len):
     return (f * w).reshape(3, -1, TAIL_NODES).sum(axis=2)
 
 
-def _tails(model, T, tol, cut0=16.0, cut_max=512.0):
+def _tails(model, T):
     """int_T^inf of psi^2, s psi^2 and the functional integrand, with q
     replaced by its psi asymptote.
 
-    The rule covers [T, T + 2 cut], the cut doubling from cut0; a level
+    The rule covers [T, T + 2 cut], the cut doubling from 16; a level
     is accepted when, for all three integrals, the outer half
-    [T + cut, T + 2 cut] adds less than tol and the rule on half-length
-    panels moves the total by less than tol."""
-    cut = cut0
+    [T + cut, T + 2 cut] adds less than TAIL_TOL and the rule on
+    half-length panels moves the total by less than TAIL_TOL."""
+    cut, cut_max = 16.0, 512.0
     while cut < cut_max:
         coarse = _tail_panel_sums(model, T, 2.0 * cut, TAIL_PANEL)
         fine = _tail_panel_sums(model, T, 2.0 * cut,
                                 0.5 * TAIL_PANEL).sum(axis=1)
         outer = coarse[:, coarse.shape[1] // 2:].sum(axis=1)
-        if np.all(np.abs(outer) < tol) \
-                and np.all(np.abs(fine - coarse.sum(axis=1)) < tol):
+        if np.all(np.abs(outer) < TAIL_TOL) \
+                and np.all(np.abs(fine - coarse.sum(axis=1)) < TAIL_TOL):
             return tuple(float(v) for v in fine)
         cut *= 2.0
-    raise TailNotResolved("tail integrals not resolved below %g by "
-                          "T + %g" % (tol, cut_max))
+    raise NonConvergent("tail integrals not resolved below %g by "
+                        "T + %g" % (TAIL_TOL, cut_max))
 
 
 class _System:
@@ -214,77 +206,52 @@ class _System:
         self.panels = panels
         self.psi_T = psi_T
         self.psip_T = psip_T
-        self.slices = []
-        off = 0
-        for p in panels:
-            m = p.nodes.size
-            self.slices.append(slice(off, off + m))
-            off += m
-        self.size = off
         self.t = np.concatenate([p.nodes for p in panels])
 
-    def deriv(self, q):
-        qp = np.empty_like(q)
-        for p, s in zip(self.panels, self.slices):
-            qp[s] = p.D @ q[s]
-        return qp
-
     def residual(self, q):
-        F = np.empty(self.size)
-        rhs = _ode_rhs(self.model, self.t, q)
-        last = len(self.panels) - 1
-        for k, (p, s) in enumerate(zip(self.panels, self.slices)):
-            loc = (p.D @ (p.D @ q[s])) - rhs[s]
-            F[s] = loc
-            if k > 0:
-                prev = self.slices[k - 1]
-                pprev = self.panels[k - 1]
-                # C^1 interface: derivative match from the two sides
-                F[s.start] = (pprev.D @ q[prev])[-1] - (p.D @ q[s])[0]
-            if k < last:
-                nxt = self.slices[k + 1]
-                F[s.stop - 1] = q[s.stop - 1] - q[nxt.start]
-            else:
-                F[s.stop - 2] = (p.D @ q[s])[-1] - self.psip_T
-                F[s.stop - 1] = q[s.stop - 1] - self.psi_T
+        qp, F = _ode_residual(self.model, self.panels, self.t, q)
+        for prev, p in zip(self.panels[:-1], self.panels[1:]):
+            # C^1 then C^0 across the interface
+            F[p.s.start] = qp[prev.s.stop - 1] - qp[p.s.start]
+            F[prev.s.stop - 1] = q[prev.s.stop - 1] - q[p.s.start]
+        F[-2] = qp[-1] - self.psip_T
+        F[-1] = q[-1] - self.psi_T
         return F
 
     def jacobian(self, q):
-        J = np.zeros((self.size, self.size))
+        n = self.t.size
+        J = np.zeros((n, n))
         dq = _ode_jac(self.model, self.t, q)
-        last = len(self.panels) - 1
-        for k, (p, s) in enumerate(zip(self.panels, self.slices)):
-            D2 = p.D @ p.D
-            J[s, s] = D2 - np.diag(dq[s])
-            if k > 0:
-                prev = self.slices[k - 1]
-                pprev = self.panels[k - 1]
-                J[s.start, :] = 0.0
-                J[s.start, prev] = pprev.D[-1]
-                J[s.start, s] -= p.D[0]
-            if k < last:
-                J[s.stop - 1, :] = 0.0
-                J[s.stop - 1, s.stop - 1] = 1.0
-                J[s.stop - 1, self.slices[k + 1].start] = -1.0
-            else:
-                J[s.stop - 2, :] = 0.0
-                J[s.stop - 2, s] = p.D[-1]
-                J[s.stop - 1, :] = 0.0
-                J[s.stop - 1, s.stop - 1] = 1.0
+        for p in self.panels:
+            J[p.s, p.s] = p.D @ p.D - np.diag(dq[p.s])
+        for prev, p in zip(self.panels[:-1], self.panels[1:]):
+            i, j = p.s.start, prev.s.stop - 1
+            J[i, :] = 0.0
+            J[i, prev.s] = prev.D[-1]
+            J[i, p.s] -= p.D[0]
+            J[j, :] = 0.0
+            J[j, j] = 1.0
+            J[j, i] = -1.0
+        last = self.panels[-1]
+        J[-2, :] = 0.0
+        J[-2, last.s] = last.D[-1]
+        J[-1, :] = 0.0
+        J[-1, -1] = 1.0
         return J
 
 
-def solve_q(model, tau_min, cfg=None):
-    """Collocation solution of the q-equation on [tau_min, T_match]."""
-    _refuse_damped(model)
-    cfg = cfg or SolverConfig()
-    T = cfg.T_match if cfg.T_match is not None else max(tau_min + 10.0, 8.0)
-    panels = _make_panels(tau_min, T, cfg)
-    sys = _System(model, panels, *(float(v) for v in model.pair(T)))
+def solve_q(model, tau_min):
+    """Collocation solution of the q-equation on [tau_min, T_match],
+    T_match = max(tau_min + 10, 8)."""
+    if model.u0_ddot != 0.0:
+        raise ValueError("the q-equation route needs u0_ddot = 0 (got %g); "
+                         "see notes/decisions.md" % model.u0_ddot)
+    T = max(tau_min + 10.0, 8.0)
+    panels = _make_panels(tau_min, T)
+    psi_T, psip_T = (float(v) for v in model.pair(T))
+    sys = _System(model, panels, psi_T, psip_T)
     t = sys.t
-
-    psi_t = np.asarray(model.psi(t), dtype=float)
-    tails = _tails(model, T, cfg.integ_tail_tol)
+    tails = _tails(model, T)
 
     def predict():
         # backward integration of the ODE from the right-end data.
@@ -293,7 +260,7 @@ def solve_q(model, tau_min, cfg=None):
         # -- and places the Newton corrector inside the basin of the
         # decaying solution, which a collocation residual alone cannot
         # distinguish from its bounded neighbours at double precision.
-        if float(np.max(np.abs(psi_t))) == 0.0:
+        if psi_T == 0.0 and psip_T == 0.0:
             return np.zeros_like(t)
 
         def rhs(s, y):
@@ -302,8 +269,8 @@ def solve_q(model, tau_min, cfg=None):
 
         # absolute tolerance pinned to the right-end data scale: a fixed
         # floor would be amplified by the full leftward growth factor
-        atol = 1e-13 * max(abs(sys.psi_T) + abs(sys.psip_T), 1e-290)
-        ivp = solve_ivp(rhs, (T, tau_min), [sys.psi_T, sys.psip_T],
+        atol = 1e-13 * max(abs(psi_T) + abs(psip_T), 1e-290)
+        ivp = solve_ivp(rhs, (T, tau_min), [psi_T, psip_T],
                         method="DOP853", rtol=3e-13, atol=atol,
                         dense_output=True)
         if not ivp.success:
@@ -317,7 +284,7 @@ def solve_q(model, tau_min, cfg=None):
         # equilibrated system is flat along the decaying mode -- steps
         # that do not clearly reduce the residual are noise and are
         # rejected rather than accumulated
-        for _ in range(cfg.max_newton):
+        for _ in range(MAX_NEWTON):
             J = sys.jacobian(q)
             scale = np.max(np.abs(J), axis=1)
             F = sys.residual(q)
@@ -337,45 +304,40 @@ def solve_q(model, tau_min, cfg=None):
             if not accepted:
                 break
             q = q + s * step
-            if float(np.max(np.abs(s * step))) < cfg.newton_tol:
+            if float(np.max(np.abs(s * step))) < NEWTON_TOL:
                 break
         return q
 
     q = newton(predict())
-    if abs(q[-1] - psi_t[-1]) > cfg.match_tol:
+    if abs(q[-1] - psi_T) > MATCH_TOL:
         raise NonConvergent("boundary match |q - psi|(T) = %.3e"
-                            % abs(q[-1] - psi_t[-1]))
-    qp = sys.deriv(q)
-    qpp = _ode_rhs(model, t, q)
-    res = 0.0
-    for p, s in zip(panels, sys.slices):
-        loc = (p.D @ (p.D @ q[s])) - qpp[s]
-        res = max(res, float(np.max(np.abs(loc[1:-1]))))
-    return QSolution(tau_min=float(tau_min), match_T=float(T),
-                     panels=panels, tau_grid=t, q=q, qp=qp, qpp=qpp,
-                     tails=tails, iterations=1, residual_norm=res)
+                            % abs(q[-1] - psi_T))
+    qp, r = _ode_residual(model, panels, t, q)
+    res = max(float(np.max(np.abs(r[p.s][1:-1]))) for p in panels)
+    return QSolution(model=model, tau_min=float(tau_min), match_T=float(T),
+                     panels=panels, tau_grid=t, q=q, qp=qp,
+                     qpp=_ode_rhs(model, t, q), tails=tails, iterations=1,
+                     residual_norm=res)
 
 
 # ----------------------------------------------------------------------
 # determinant functionals
 
-def det_via_functional(sol, model, tau):
+def det_via_functional(sol, tau):
     """F([tau, inf)) from the q-functional integral."""
-    _refuse_damped(model)
     if tau < sol.tau_min - 1e-12:
         raise ValueError("tau below the solution domain")
-    f = _functional_integrand(model, sol.q, sol.qp, sol.qpp)
+    f = _functional_integrand(sol.model, sol.q, sol.qp, sol.qpp)
     G = sol.antiderivative(f)
     core = float(G[-1]) - sol.interp(G, tau)
     return math.exp(core + sol.tails[2])
 
 
-def det_via_alternative(sol, model, tau):
+def det_via_alternative(sol, tau):
     """F([tau, inf)) from the (sigma - tau)-weighted representation."""
-    _refuse_damped(model)
     if tau < sol.tau_min - 1e-12:
         raise ValueError("tau below the solution domain")
-    g, ud = model.gamma, model.u0_dot
+    g, ud = sol.model.gamma, sol.model.u0_dot
     t = sol.tau_grid
     h = sol.q ** 2
     G1 = sol.antiderivative(t * h)
@@ -386,15 +348,13 @@ def det_via_alternative(sol, model, tau):
     return math.exp(-(g / ud) * (core + tail))
 
 
-def q_ode_residual(sol, model, tau):
+def q_ode_residual(sol, tau):
     """Residual of the q-equation at an interior collocation node, with
     q'' by independent double spectral differentiation."""
-    for p, s in sol._slices():
+    for p in sol.panels:
         d = np.abs(p.nodes - tau)
         i = int(np.argmin(d))
         if d[i] <= 1e-10 * max(1.0, abs(tau)) and 0 < i < p.nodes.size - 1:
-            q = sol.q[s]
-            qpp_spec = (p.D @ (p.D @ q))[i]
-            rhs = _ode_rhs(model, p.nodes, q)[i]
-            return float(qpp_spec - rhs)
+            _, r = _ode_residual(sol.model, sol.panels, sol.tau_grid, sol.q)
+            return float(r[p.s][i])
     raise ValueError("tau is not an interior collocation node")

@@ -22,7 +22,6 @@ class WaveModel:
     arrays.  The model is immutable after construction."""
     pair: Callable
     gamma: float = 1.0
-    u0: float = 0.0
     u0_dot: float = 1.0
     u0_ddot: float = 0.0
     v0: float = 0.0
@@ -60,7 +59,7 @@ def airy_model():
     Profile u(x) = x, phi = Ai gives the classical Airy kernel."""
     return WaveModel(
         pair=airy_ai_pair,
-        gamma=1.0, u0=0.0, u0_dot=1.0, u0_ddot=0.0, v0=0.0,
+        gamma=1.0, u0_dot=1.0, u0_ddot=0.0, v0=0.0,
         profile=(lambda x: np.asarray(x, dtype=float), airy_ai),
         name="airy",
     )
@@ -93,7 +92,7 @@ def damped_airy_model(u0_ddot=0.3):
         return x + 0.5 * c * x * x
 
     return WaveModel(pair=pair,
-                     gamma=1.0, u0=0.0, u0_dot=1.0, u0_ddot=c, v0=0.0,
+                     gamma=1.0, u0_dot=1.0, u0_ddot=c, v0=0.0,
                      profile=(u, phi), name="damped_airy")
 
 
@@ -105,16 +104,16 @@ def zero_model():
     return WaveModel(pair=pair, name="zero")
 
 
-def tabulated_model(xi, psi_vals, psip_vals, *, gamma=1.0, u0=0.0,
-                    u0_dot=1.0, u0_ddot=0.0, v0=0.0, name="tabulated"):
+def tabulated_model(xi, psi_vals, psip_vals, *, gamma=1.0, u0_dot=1.0,
+                    u0_ddot=0.0, v0=0.0, name="tabulated"):
     """Model backed by cubic interpolation of sampled (xi, psi, psi')."""
     from scipy.interpolate import CubicSpline
     xi = np.asarray(xi, dtype=float)
     sp = CubicSpline(xi, np.asarray(psi_vals, dtype=float))
     spp = CubicSpline(xi, np.asarray(psip_vals, dtype=float))
     return WaveModel(pair=lambda x: (sp(x), spp(x)),
-                     gamma=gamma, u0=u0, u0_dot=u0_dot, u0_ddot=u0_ddot,
-                     v0=v0, name=name)
+                     gamma=gamma, u0_dot=u0_dot, u0_ddot=u0_ddot, v0=v0,
+                     name=name)
 
 
 def psi_second_from(model, xi, psi, psip):

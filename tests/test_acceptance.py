@@ -42,8 +42,8 @@ def test_criterion_1_route_triangle(airy, airy_sol):
     worst_df = worst_fa = 0.0
     for tau in (-2.0, -1.0, 0.0, 1.0, 2.0):
         Fd = gap_probability(airy, half_line(tau))
-        Ff = det_via_functional(airy_sol, airy, tau)
-        Fa = det_via_alternative(airy_sol, airy, tau)
+        Ff = det_via_functional(airy_sol, tau)
+        Fa = det_via_alternative(airy_sol, tau)
         worst_df = max(worst_df, abs(Fd - Ff))
         worst_fa = max(worst_fa, abs(Ff - Fa))
     dt = time.monotonic() - t0
@@ -56,7 +56,7 @@ def test_criterion_1_route_triangle(airy, airy_sol):
 def test_criterion_2_bvp_definition_equivalence(airy, airy_sol):
     t0 = time.monotonic()
     worst_q = 0.0
-    nodes = [float(t) for p, _ in airy_sol._slices() for t in p.nodes
+    nodes = [float(t) for p in airy_sol.panels for t in p.nodes
              if -2.0 <= t <= 6.0]
     # every fourth collocation node gets the full independent per-tau
     # Nystrom build; that samples each panel at interior and edge alike
@@ -66,10 +66,9 @@ def test_criterion_2_bvp_definition_equivalence(airy, airy_sol):
             / max(abs(ref), 1e-12)
         worst_q = max(worst_q, rel)
     worst_r = 0.0
-    for p, _ in airy_sol._slices():
+    for p in airy_sol.panels:
         for t in p.nodes[1:-1]:
-            worst_r = max(worst_r, abs(q_ode_residual(airy_sol, airy,
-                                                      float(t))))
+            worst_r = max(worst_r, abs(q_ode_residual(airy_sol, float(t))))
     dt = time.monotonic() - t0
     _report(2, "BVP vs resolvent definition",
             worst_q <= 1e-5 and worst_r <= 1e-8 and dt <= 60.0,
@@ -77,7 +76,7 @@ def test_criterion_2_bvp_definition_equivalence(airy, airy_sol):
             "%.1fs/60s" % (worst_q, worst_r, dt))
 
 
-def test_criterion_3_tracy_widom_reduction(airy, airy_sol):
+def test_criterion_3_tracy_widom_reduction(airy_sol):
     sol = airy_sol
     int_q2, int_sq2, _ = sol.tails
     worst = 0.0
@@ -88,10 +87,10 @@ def test_criterion_3_tracy_widom_reduction(airy, airy_sol):
         core = (float(G1[-1]) - sol.interp(G1, tau)) \
             - tau * (float(G0[-1]) - sol.interp(G0, tau))
         tw = math.exp(-(core + int_sq2 - tau * int_q2))
-        worst = max(worst, abs(det_via_alternative(sol, airy, tau) - tw))
+        worst = max(worst, abs(det_via_alternative(sol, tau) - tw))
     pii = 0.0
-    for p, s in sol._slices():
-        q = sol.q[s]
+    for p in sol.panels:
+        q = sol.q[p.s]
         r = p.D @ (p.D @ q) - p.nodes * q - 2.0 * q ** 3
         pii = max(pii, float(np.max(np.abs(r[1:-1]))))
     _report(3, "Tracy-Widom reduction", worst <= 1e-10 and pii <= 1e-8,

@@ -149,18 +149,16 @@ def test_config_file(tmp_path):
 def test_config_keys_follow_dataclass_fields(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[grid]\nnodes_per_panel = 30\nL_max = 64\n"
-                   "[solver]\npanel_degree = 16\nT_match = 9.5\n"
                    "[run]\nseed = 7\n")
-    grid, solver, seed = _load_config(str(cfg))
-    assert (grid.nodes_per_panel, grid.L_max, solver.panel_degree,
-            solver.T_match, seed) == (30, 64.0, 16, 9.5, 7)
+    grid, seed = _load_config(str(cfg))
+    assert (grid.nodes_per_panel, grid.L_max, seed) == (30, 64.0, 7)
     assert isinstance(grid.nodes_per_panel, int)
     assert isinstance(grid.L_max, float)
 
 
 @pytest.mark.parametrize("text, name", [
     ("[grid]\nnodes_per_pannel = 5\n", "nodes_per_pannel"),
-    ("[solver]\nmax_outer = 3\n", "max_outer"),
+    ("[solver]\nmax_outer = 3\n", "solver"),
     ("[gird]\nnodes_per_panel = 30\n", "gird"),
 ])
 def test_config_rejects_unknown_names(tmp_path, capsys, text, name):

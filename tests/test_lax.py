@@ -69,7 +69,7 @@ def test_B_relations(trunc, airy):
 
 def test_build_A_needs_order(trunc, airy):
     with pytest.raises(ValueError):
-        build_A(trunc.table, -1.0, trunc.table.N + 1)
+        build_A(trunc.table, 0, trunc.table.N + 1)
 
 
 def test_linear_system_residuals(trunc):

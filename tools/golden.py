@@ -31,6 +31,8 @@ GOLDEN = (
     ("det", "--model", "damped", "--tau-range=-1:3:5"),
     ("kpz", "--c1", "1", "--c2", "1", "--tau-range=-4:2:4"),
     ("kpz", "--c1", "0.3", "--c2", "40", "--tau-range=-1:1:3"),
+    ("tw-solve", "--tau-min=-5.5", "--tau-range=-5.5:-1.5:3"),
+    ("tw-solve", "--model", "zero", "--tau-min=-1", "--tau-range=-1:1:3"),
 )
 THREADS = "1"
 
