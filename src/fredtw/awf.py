@@ -99,11 +99,17 @@ class AwfTable:
             v = v + self.mu[n - 1, a]
         return float(v)
 
+    def jet_above_floor(self, tau):
+        """(psi, psi', psi'')(tau) for a divisor psi(tau): PsiTooSmall
+        when |psi(tau)| is below psi_floor."""
+        jet = self.jet(tau)
+        if abs(jet[0]) < self.psi_floor:
+            raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, jet[0]))
+        return jet
+
     def eta(self, n, tau):
         """eta_n(tau) = (q(tau)/psi(tau) - 1)^n, guarded by psi_floor."""
-        p = self.jet(tau)[0]
-        if abs(p) < self.psi_floor:
-            raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
+        p = self.jet_above_floor(tau)[0]
         return (self.eval_chi(0, 0, tau) / p - 1.0) ** n
 
     # -- resolvent kernels --------------------------------------------
@@ -163,15 +169,15 @@ class AwfTable:
             out -= self.dchi_dj(n, alpha, xi, j)
         return out
 
-    def chi_total_deriv(self, n, alpha, j=0):
-        """Total derivative d/dtau_j of chi_{n,alpha}(tau_j): the xi and
-        tau_j partials combine so that the singular self-term cancels,
-        leaving the algebraic part minus the i != j cross terms."""
-        tj = self.grid.iu.finite_endpoints[j]
-        out = self._dchi_algebraic(n, alpha, tj)
-        for i in range(len(self.grid.iu.finite_endpoints)):
-            if i != j:
-                out -= self.dchi_dj(n, alpha, tj, i)
+    def chi_total_deriv(self, n, alpha):
+        """Total derivative d/dtau_0 of chi_{n,alpha}(tau_0) at the first
+        finite endpoint: the xi and tau_0 partials combine so that the
+        singular self-term cancels, leaving the algebraic part minus the
+        cross terms of the other endpoints."""
+        t0 = self.grid.iu.finite_endpoints[0]
+        out = self._dchi_algebraic(n, alpha, t0)
+        for i in range(1, len(self.grid.iu.finite_endpoints)):
+            out -= self.dchi_dj(n, alpha, t0, i)
         return out
 
     def moved(self, j, h):
@@ -275,16 +281,17 @@ def closure_residual(table, n, xi):
     return table.eval_chi(n, 2, xi) - rhs
 
 
-def qn_ode_residual(table, tau, n=1, h=FD_STEP):
+def qn_ode_residual(table, tau, n=1):
     """Residual of the second-order tau-ODE for chi_{n,0}(tau): the
-    second derivative is an independent centered difference over rebuilt
-    tables; every first derivative on the right-hand side comes from the
-    identities themselves."""
+    second derivative is an independent centered difference (step
+    FD_STEP) over rebuilt tables; every first derivative on the
+    right-hand side comes from the identities themselves."""
     if n + 2 > table.N:
         raise ValueError("need table.N >= n + 2")
     _check_endpoint(table, tau)
     model = table.model
     g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
+    h = FD_STEP
     tp, tm = table.moved(0, h)
     chi_pp = (tp.eval_chi(n, 0, tau + h) - 2.0 * table.eval_chi(n, 0, tau)
               + tm.eval_chi(n, 0, tau - h)) / h ** 2
@@ -313,13 +320,14 @@ def qn_ode_residual(table, tau, n=1, h=FD_STEP):
     return chi_pp - rhs
 
 
-def identity_residual(name, model, table, tau, n=None, p=None,
-                      h=FD_STEP):
+def identity_residual(name, model, table, tau):
     """Signed residual of a named identity at endpoint tau.
 
     The table must be built on [tau, inf) from model; any other tau or
-    model raises ValueError.  FD-based identities rebuild private tables
-    at tau +- h.
+    model raises ValueError.  The orders are fixed: n = N = table.N
+    for ORDER (with p = 0), MU-SHIFT and MU-IPRO; n = N - 1 for
+    CLOSURE, AWF-DERIV, AWF-PARAM and MUN0-DOT; n = 1 for QN-ODE.
+    FD-based identities rebuild private tables at tau +- FD_STEP.
     """
     if name not in IDENTITIES:
         raise ValueError("unknown identity %r" % name)
@@ -328,36 +336,33 @@ def identity_residual(name, model, table, tau, n=None, p=None,
     _check_endpoint(table, tau)
     m = model
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
+    N, h = table.N, FD_STEP
 
     if name == "CLOSURE":
-        nn = table.N - 1 if n is None else n
-        return closure_residual(table, nn, tau)
+        return closure_residual(table, N - 1, tau)
 
     if name == "ORDER":
-        nn = table.N if n is None else n
-        pp = 0 if p is None else p
         r = 0.0
         for a in range(2):
-            lhs = table.eval_chi(nn, a, tau)
-            rhs = table.eta(nn - pp, tau) * table.eval_chi(pp, a, tau)
+            lhs = table.eval_chi(N, a, tau)
+            rhs = table.eta(N, tau) * table.eval_chi(0, a, tau)
             if abs(lhs - rhs) > abs(r):
                 r = lhs - rhs
         return r
 
     if name == "AWF-DERIV":
         # xi-derivative identity vs centered FD of the Nystrom extension
-        nn = (table.N - 1) if n is None else n
         xi = tau + 1.0
-        fd = (table.eval_chi(nn, 0, xi + h)
-              - table.eval_chi(nn, 0, xi - h)) / (2.0 * h)
-        return fd - table.dchi_dxi(nn, 0, xi)
+        fd = (table.eval_chi(N - 1, 0, xi + h)
+              - table.eval_chi(N - 1, 0, xi - h)) / (2.0 * h)
+        return fd - table.dchi_dxi(N - 1, 0, xi)
 
     if name == "AWF-PARAM":
-        nn = (table.N - 1) if n is None else n
         xi = tau + 1.0
         tp, tm = table.moved(0, h)
-        fd = (tp.eval_chi(nn, 0, xi) - tm.eval_chi(nn, 0, xi)) / (2.0 * h)
-        return fd - table.dchi_dj(nn, 0, xi, 0)
+        fd = (tp.eval_chi(N - 1, 0, xi) - tm.eval_chi(N - 1, 0, xi)) \
+            / (2.0 * h)
+        return fd - table.dchi_dj(N - 1, 0, xi, 0)
 
     if name == "MU01":
         q = table.eval_chi(0, 0, tau)
@@ -371,37 +376,34 @@ def identity_residual(name, model, table, tau, n=None, p=None,
         return fd + table.eval_chi(0, 0, tau) ** 2
 
     if name == "MUN0-DOT":
-        nn = (table.N - 1) if n is None else n
         tp, tm = table.moved(0, h)
-        fd = (tp.mu[nn, 0] - tm.mu[nn, 0]) / (2.0 * h)
+        fd = (tp.mu[N - 1, 0] - tm.mu[N - 1, 0]) / (2.0 * h)
         q = table.eval_chi(0, 0, tau)
-        return fd + (nn + 1) * table.eta(nn, tau) * q * q
+        return fd + N * table.eta(N - 1, tau) * q * q
 
     if name == "MU-SHIFT":
-        nn = table.N if n is None else n
         w = table.grid.weights
         q = table.chi[0, 0]
         r = 0.0
         for a in range(2):
-            lhs = table.mu[nn, a] + table.mu[nn - 1, a]
-            rhs = float(np.dot(w, table.chi[nn - 1, a] * q))
+            lhs = table.mu[N, a] + table.mu[N - 1, a]
+            rhs = float(np.dot(w, table.chi[N - 1, a] * q))
             r = lhs - rhs if abs(lhs - rhs) > abs(r) else r
         return r
 
     if name == "MU-IPRO":
-        nn = table.N if n is None else n
         w = table.grid.weights
         psi = table.disc.psi
         q = table.chi[0, 0]
         r = 0.0
         for a in range(2):
-            acc = ((-1.0) ** nn) * psi * table.chi[0, a]
-            for k in range(nn):
-                acc -= ((-1.0) ** (nn - k)) * table.chi[k, a] * q
+            acc = ((-1.0) ** N) * psi * table.chi[0, a]
+            for k in range(N):
+                acc -= ((-1.0) ** (N - k)) * table.chi[k, a] * q
             rhs = float(np.dot(w, acc))
-            lhs = table.mu[nn, a]
+            lhs = table.mu[N, a]
             r = lhs - rhs if abs(lhs - rhs) > abs(r) else r
         return r
 
     # QN-ODE
-    return qn_ode_residual(table, tau, n=1 if n is None else n, h=h)
+    return qn_ode_residual(table, tau)

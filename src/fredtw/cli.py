@@ -90,27 +90,26 @@ def _load_config(path):
     return GridConfig(**kw["grid"]), kw["run"].get("seed", 0)
 
 
+def _emit(out_path, text):
+    """Write text to the file out_path, or to stdout without one."""
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_csv(out_path, header_meta, columns, rows):
     lines = ["# %s=%s" % (k, v) for k, v in sorted(header_meta.items())]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
                               for v in row))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(out_path, "\n".join(lines) + "\n")
 
 
 def _write_json(out_path, report):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(out_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _meta(args, cfg):
@@ -124,21 +123,16 @@ def _meta(args, cfg):
 
 def _cmd_eval_kernel(args, gcfg, seed):
     model = _MODELS[args.model]()
-    rows = []
     if args.pairs:
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(args.lo, args.hi, size=(args.pairs, 2))
-        for xi, zeta in pts:
-            v = cd_kernel(model, xi, zeta)
-            row = [float(xi), float(zeta), v]
-            if model.profile is not None:
-                row.append(kernel_direct(model, xi, zeta))
-            rows.append(row)
+        pts = rng.uniform(args.lo, args.hi, size=(args.pairs, 2)).tolist()
     else:
-        v = cd_kernel(model, args.xi, args.zeta)
-        row = [args.xi, args.zeta, v]
+        pts = [(args.xi, args.zeta)]
+    rows = []
+    for xi, zeta in pts:
+        row = [xi, zeta, cd_kernel(model, xi, zeta)]
         if model.profile is not None:
-            row.append(kernel_direct(model, args.xi, args.zeta))
+            row.append(kernel_direct(model, xi, zeta))
         rows.append(row)
     cols = ["xi", "zeta", "K"] + (["K_direct"] if model.profile else [])
     meta = _meta(args, gcfg)

@@ -68,10 +68,8 @@ class GridConfig:
     than max_panel_len.  A half-infinite component [tau, inf) cut at
     tau + L gets panels of one length h, L_start halved until
     h <= max_panel_len, with edges tau + i*h; so the grid at L is a
-    prefix of the grid at 2L.  With the defaults h = 8, so L = 8, 16,
-    32, 64 and 128 get 1, 2, 4, 8 and 16 panels: up to L = 32 the fewest
-    equal panels of at most max_panel_len, at 64 and 128 one and three
-    panels more than that (7 and 13).
+    prefix of the grid at 2L, and L gets L/h panels.  With the defaults
+    h = 8, so L = 8, 16, 32, 64 and 128 get 1, 2, 4, 8 and 16 panels.
     """
     nodes_per_panel: int = 40
     tail_tol: float = 1e-12
@@ -253,17 +251,18 @@ def resolve(disc, f):
     return y / disc.sqrtw
 
 
-def fredholm_series(model, iu, k_max=2, tol=1e-12, cfg=None):
+def fredholm_series(model, iu, k_max=2):
     """Truncated Fredholm series 1 + sum_k (-1)^k/k! int det[K(x_i,x_j)].
 
     The k-fold tensor-quadrature sums of the k x k minors collapse
     exactly (finite algebra, Leibniz expansion) to combinations of the
     power sums t_m = tr((K W)^m); they are evaluated in that form.
-    Independent of the LU determinant route.
+    Independent of the LU determinant route; the grid is nystrom's on
+    the default GridConfig.
     """
     if k_max > 4:
         raise ValueError("k_max is capped at 4")
-    disc = nystrom(iu, cfg, model)
+    disc = nystrom(iu, model=model)
     M = disc.K * disc.grid.weights[None, :]
     t = [None]
     P = np.eye(M.shape[0])

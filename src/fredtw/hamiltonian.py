@@ -17,17 +17,17 @@ import math
 from dataclasses import replace
 
 from .awf import FD_STEP, _check_endpoint, resolvent_endpoint
-from .errors import PsiTooSmall
 from .fredholm import GridConfig, gap_probability, half_line, nystrom
 
 ROUTES = ("DIAGONAL", "CANONICAL", "CLOSED_FORM")
 
 
-def _q_derivs(table, tau, h=FD_STEP):
+def _q_derivs(table, tau):
     """(q, q', q'') at the endpoint: q' is the total derivative from the
-    identity machinery, q'' a centered difference of q over rebuilt
-    tables (independent of the identity under test)."""
+    identity machinery, q'' a centered difference of q (step FD_STEP)
+    over rebuilt tables (independent of the identity under test)."""
     _check_endpoint(table, tau)
+    h = FD_STEP
     q = table.eval_chi(0, 0, tau)
     qp = table.chi_total_deriv(0, 0)
     tp, tm = table.moved(0, h)
@@ -61,9 +61,7 @@ def hamiltonian(table, n, tau, route="DIAGONAL"):
     # CLOSED_FORM, n = 1 only
     if n != 1:
         raise ValueError("CLOSED_FORM is available only at n = 1")
-    p, pp, _ = table.jet(tau)
-    if abs(p) < table.psi_floor:
-        raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
+    p, pp, _ = table.jet_above_floor(tau)
     q, qp, qpp = _q_derivs(table, tau)
     corr = (g * udd / ud ** 2) * q * (qp / p - pp * q / (p * p))
     return qp * qp - q * (qpp - (g / ud) * q ** 3 + corr)
@@ -83,12 +81,12 @@ def hamiltonian_scaling_residual(table, n, tau):
     return hn - n * table.eta(n - 1, tau) * h1
 
 
-def logdet_link_residual(model, tau, h=1e-3, cfg=None):
+def logdet_link_residual(model, tau, h=1e-3):
     """Centered FD of log F([tau, inf)) minus (u0_dot/gamma) H_1(tau),
-    H_1 by the DIAGONAL route."""
+    H_1 by the DIAGONAL route, on the default GridConfig."""
     if not 1e-5 <= h <= 1e-2:
         raise ValueError("h must lie in [1e-5, 1e-2]")
-    cfg = cfg or GridConfig()
+    cfg = GridConfig()
     disc = nystrom(half_line(tau), cfg, model)
     h1 = (model.gamma / model.u0_dot) \
         * float(resolvent_endpoint(disc, tau, 1)[0])
@@ -101,15 +99,16 @@ def logdet_link_residual(model, tau, h=1e-3, cfg=None):
     return fd - (model.u0_dot / model.gamma) * h1
 
 
-def h1_derivative_residual(table, tau, h=FD_STEP):
-    """FD of H_1 across rebuilt tables minus the closed-form derivative
+def h1_derivative_residual(table, tau):
+    """FD of H_1 across rebuilt tables (step FD_STEP) minus the
+    closed-form derivative
     -(gamma^2/u0_dot^2)(q^2 + (u0_ddot/gamma)(2q/psi - 1) H_1)."""
     _check_endpoint(table, tau)
     m = table.model
     g, ud, udd = m.gamma, m.u0_dot, m.u0_ddot
-    p = table.jet(tau)[0]
-    if udd != 0.0 and abs(p) < table.psi_floor:
-        raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, p))
+    h = FD_STEP
+    if udd != 0.0:
+        p = table.jet_above_floor(tau)[0]
     tp, tm = table.moved(0, h)
     fd = (hamiltonian(tp, 1, tau + h, "DIAGONAL")
           - hamiltonian(tm, 1, tau - h, "DIAGONAL")) / (2.0 * h)

@@ -12,7 +12,7 @@ for models that carry a profile.
 import numpy as np
 
 from .errors import NonConvergent
-from .quadrature import gl_panels
+from .quadrature import HALVING_TOL, gl_halving
 
 DELTA_DIAG = 1e-6   # below this separation the CD quotient cancels badly
 X_CAP = 200.0       # truncation cap for the direct-integral oracle
@@ -100,12 +100,13 @@ def kernel_row(model, xi, nodes):
     return _row_from(model, xi, pxi, ppxi, x, *_node_pair(model, x))
 
 
-def kernel_direct(model, xi, zeta, tol=1e-10):
+def kernel_direct(model, xi, zeta):
     """Direct x-integration of the defining kernel integral.
 
     Requires model.profile.  Truncates at X where the integrand envelope
-    falls below tol*1e-2, doubling X up to X_CAP; the quadrature error is
-    estimated by panel halving.  Used only as an oracle for cd_kernel.
+    falls below HALVING_TOL*1e-2, doubling X up to X_CAP; the quadrature
+    error is estimated by gl_halving.  Used only as an oracle for
+    cd_kernel.
     """
     if model.profile is None:
         raise ValueError("kernel_direct needs a model with a profile")
@@ -119,20 +120,14 @@ def kernel_direct(model, xi, zeta, tol=1e-10):
 
     X = 8.0
     while X < X_CAP:
-        if abs(integrand(np.array([X]))[0]) < tol * 1e-2:
+        if abs(integrand(np.array([X]))[0]) < HALVING_TOL * 1e-2:
             break
         X *= 2.0
     else:
         raise NonConvergent("integrand tail above tolerance at X cap")
 
-    nodes, wts = gl_panels(0.0, X, 32, panel_len=2.0)
-    coarse = float(np.dot(wts, integrand(nodes)))
-    nodes, wts = gl_panels(0.0, X, 32, panel_len=1.0)
-    fine = float(np.dot(wts, integrand(nodes)))
-    if abs(fine - coarse) > tol:
-        raise NonConvergent(
-            "quadrature refinement estimate %.3e exceeds tol" % abs(fine - coarse))
-    return fine
+    return gl_halving(lambda x, w: float(np.dot(w, integrand(x))),
+                      0.0, X, 32, 2.0)
 
 
 def kernel_derivative_residual(model, xi, zeta, h=1e-4):

@@ -34,7 +34,7 @@ from scipy.integrate import solve_ivp
 from .airy import airy_ai, airy_ai_pair
 from .errors import NonConvergent, WeightVanishes
 from .fredholm import fredholm_det, half_line, nystrom
-from .quadrature import gl_panels
+from .quadrature import HALVING_TOL, gl_halving
 
 WEIGHT_FLOOR = 1e-14
 # sigma' has fallen below 1e-16 of its peak this many units of c2*lam
@@ -71,18 +71,13 @@ class FiniteTempSpec:
         return self.c2 * e / (1.0 + e) ** 2
 
 
-def _check_tol(tol):
-    if not tol >= 1e-12:
-        raise ValueError("tol must be >= 1e-12")
-
-
-def _lambda_cuts(spec, x_min, tol):
+def _lambda_cuts(spec, x_min):
     """Two-sided truncation of the lambda axis: left where the Fermi
-    factor drops below tol/100, right where the phi^2 envelope does
-    (Airy decay gauged at the smallest kernel argument)."""
-    lo = min(math.log(0.01 * tol * spec.c1) / spec.c2 - 1.0, -2.0)
+    factor drops below HALVING_TOL/100, right where the phi^2 envelope
+    does (Airy decay gauged at the smallest kernel argument)."""
+    lo = min(math.log(0.01 * HALVING_TOL * spec.c1) / spec.c2 - 1.0, -2.0)
     a = 10.0
-    while airy_ai(np.array([a]))[0] ** 2 > 0.01 * tol and a < 60.0:
+    while airy_ai(np.array([a]))[0] ** 2 > 0.01 * HALVING_TOL and a < 60.0:
         a += 5.0
     hi = max(a - spec.gamma * x_min, lo + 4.0)
     return lo, hi
@@ -93,47 +88,38 @@ def _panel_len(spec):
     return min(1.0, 4.0 / spec.c2)
 
 
-def kpz_kernel(spec, xi, zeta, tol=1e-10):
+def kpz_kernel(spec, xi, zeta):
     """Fermi-weighted kernel value at a single pair, with the quadrature
-    error estimated by panel halving."""
-    _check_tol(tol)
-    lo, hi = _lambda_cuts(spec, min(xi, zeta), tol)
-    base = _panel_len(spec)
-    vals = []
-    for plen in (base, 0.5 * base):
-        lam, w = gl_panels(lo, hi, 32, plen)
+    error estimated by gl_halving."""
+    lo, hi = _lambda_cuts(spec, min(xi, zeta))
+
+    def rule(lam, w):
         f = airy_ai(lam + spec.gamma * xi) * airy_ai(lam + spec.gamma * zeta)
-        vals.append(float(np.dot(w * spec.fermi(lam), f)))
-    if abs(vals[1] - vals[0]) > tol:
-        raise NonConvergent("lambda-quadrature halving estimate %.3e "
-                            "exceeds tol" % abs(vals[1] - vals[0]))
-    return vals[1]
+        return float(np.dot(w * spec.fermi(lam), f))
+
+    return gl_halving(rule, lo, hi, 32, _panel_len(spec))
 
 
-def generic_ft_kernel(phi, f_weight, gamma, lambda_lo, lambda_hi,
-                      xi, zeta, tol=1e-10):
+def generic_ft_kernel(phi, f_weight, gamma, lambda_lo, lambda_hi, xi, zeta):
     """int_{lambda_lo}^{lambda_hi} phi(lam+g xi) phi(lam+g zeta) / f(lam)
     dlam on an explicit finite window; reversed limits flip the sign."""
     sign = 1.0
     if lambda_lo > lambda_hi:
         lambda_lo, lambda_hi, sign = lambda_hi, lambda_lo, -1.0
-    vals = []
-    for plen in (1.0, 0.5):
-        lam, w = gl_panels(lambda_lo, lambda_hi, 32, plen)
+
+    def rule(lam, w):
         f = np.asarray(f_weight(lam), dtype=float)
         if np.min(np.abs(f)) < WEIGHT_FLOOR:
             raise WeightVanishes("|f| < %g at a quadrature node"
                                  % WEIGHT_FLOOR)
         num = np.asarray(phi(lam + gamma * xi), dtype=float) \
             * np.asarray(phi(lam + gamma * zeta), dtype=float)
-        vals.append(float(np.dot(w, num / f)))
-    if abs(vals[1] - vals[0]) > tol:
-        raise NonConvergent("quadrature halving estimate %.3e exceeds tol"
-                            % abs(vals[1] - vals[0]))
-    return sign * vals[1]
+        return float(np.dot(w, num / f))
+
+    return sign * gl_halving(rule, lambda_lo, lambda_hi, 32, 1.0)
 
 
-def kpz_matrix(spec, nodes, tol=1e-10):
+def kpz_matrix(spec, nodes):
     """The kernel matrix on a set of distinct nodes, all pairs at once,
     from the sigma'-form: with A, B = Ai, Ai' at lam_l + g x_i and the
     weights w_l sigma'(lam_l) folded into A, N = A B^T and
@@ -143,9 +129,8 @@ def kpz_matrix(spec, nodes, tol=1e-10):
 
     bit-for-bit symmetric.  The lambda-window is |lam - lam0| <= 36.8/c2
     (sigma' below 1e-16 of its peak past it), cut on the right where
-    _lambda_cuts cuts the Airy tail; 16-point panels of _panel_len(spec)
-    and of half that give the result and its error estimate."""
-    _check_tol(tol)
+    _lambda_cuts cuts the Airy tail; gl_halving on 16-point panels of
+    _panel_len(spec) gives the result and its error estimate."""
     x = np.asarray(nodes, dtype=float)
     gx = spec.gamma * x
     den = gx[:, None] - gx[None, :]
@@ -155,27 +140,24 @@ def kpz_matrix(spec, nodes, tol=1e-10):
     lam0 = math.log(spec.c1) / spec.c2
     lo = lam0 - _SIGMA_PRIME_SPAN / spec.c2
     hi = min(lam0 + _SIGMA_PRIME_SPAN / spec.c2,
-             _lambda_cuts(spec, float(np.min(x)), tol)[1])
+             _lambda_cuts(spec, float(np.min(x)))[1])
     # an Airy cut left of the window leaves nothing above rounding: an
     # empty window, K = 0
     hi = max(hi, lo)
-    base = _panel_len(spec)
-    mats = []
-    for plen in (base, 0.5 * base):
-        lam, w = gl_panels(lo, hi, 16, plen)
+
+    def rule(lam, w):
         ws = w * spec.fermi_prime(lam)
         a = lam[None, :] + gx[:, None]
         A, B = airy_ai_pair(a)
         N = (A * ws[None, :]) @ B.T
         K = (N - N.T) / den
         np.fill_diagonal(K, (B * B - a * A * A) @ ws)
-        mats.append(K)
-    if float(np.max(np.abs(mats[1] - mats[0]))) > tol:
-        raise NonConvergent("kernel-matrix halving estimate exceeds tol")
-    return mats[1]
+        return K
+
+    return gl_halving(rule, lo, hi, 16, _panel_len(spec))
 
 
-def kpz_gap(spec, tau, cfg=None, tol=1e-10):
+def kpz_gap(spec, tau, cfg=None):
     """F([tau, inf)) = det(I - K) for the Fermi-weighted kernel.
 
     The kernel is a bare matrix, not a WaveModel's, so the truncation is
@@ -183,9 +165,8 @@ def kpz_gap(spec, tau, cfg=None, tol=1e-10):
     doubling step makes one kpz_matrix call (the sigma'-form on an
     O(1/c2) lambda-window, one Airy pass per rule), on the 2L nodes.
     """
-    _check_tol(tol)
     disc = nystrom(half_line(tau), cfg,
-                   matrix=lambda x: kpz_matrix(spec, x, tol))
+                   matrix=lambda x: kpz_matrix(spec, x))
     return fredholm_det(disc).value
 
 

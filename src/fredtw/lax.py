@@ -148,9 +148,9 @@ def measured(vec_or_mat, N):
     return a[:stop] if a.ndim == 1 else a[:stop, :stop]
 
 
-def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP):
+def lax_system_residual(trunc, which, j=0, *, xi):
     """Max-norm residual of the linear system at a point xi inside the
-    union, over the measured components n <= N-2.
+    union, over the measured components n <= N-2; h = FD_STEP.
 
     TAU_EQ: centered difference of X(xi) across tables with endpoint j
     moved by +-h, against -A_j X / (xi - tau_j).
@@ -159,8 +159,7 @@ def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP):
     """
     if which not in ("TAU_EQ", "XI_EQ"):
         raise ValueError("which must be TAU_EQ or XI_EQ")
-    if xi is None:
-        raise ValueError("an evaluation point xi is required")
+    h = FD_STEP
     if any(abs(xi - t) < 10 * h for t in trunc.taus):
         raise ValueError("xi must stay away from the endpoints")
     X0 = trunc.X(xi)
@@ -177,9 +176,9 @@ def lax_system_residual(trunc, which, j=0, xi=None, h=FD_STEP):
     return float(np.max(np.abs(measured(res, trunc.N))))
 
 
-def schlesinger_residual(trunc, i, j, h=FD_STEP):
+def schlesinger_residual(trunc, i, j):
     """Signed residual matrix of the deformation equation for A_i under
-    motion of endpoint j:
+    motion of endpoint j (FD over tables moved by +-FD_STEP):
 
         i != j:  FD_{tau_j} A_i - [A_i, A_j]/(tau_i - tau_j)
         i == j:  FD_{tau_j} A_j - sum_{k != j} [A_k, A_j]/(tau_j - tau_k)
@@ -189,7 +188,7 @@ def schlesinger_residual(trunc, i, j, h=FD_STEP):
     the measured range n <= N-2 carries a guarantee, the rest is
     diagnostic.
     """
-    N = trunc.N
+    N, h = trunc.N, FD_STEP
     Ap, Am = (build_A(t, i, N) for t in trunc.table.moved(j, h))
     fd = (Ap - Am) / (2.0 * h)
     if i != j:

@@ -1,10 +1,15 @@
 """Composite Gauss-Legendre panels: the one quadrature rule behind the
-Nystrom grids and the kernel integrals."""
+Nystrom grids and the kernel integrals, and the one panel-halving test
+that the kernel integrals share."""
 
 import functools
 import math
 
 import numpy as np
+
+from .errors import NonConvergent
+
+HALVING_TOL = 1e-10  # max |fine - coarse| gl_halving accepts
 
 
 @functools.lru_cache(maxsize=None)
@@ -25,3 +30,17 @@ def gl_panels(a, b, n, panel_len=math.inf):
     mid = 0.5 * (edges[1:] + edges[:-1])
     return (mid[:, None] + h[:, None] * t[None, :]).ravel(), \
         (h[:, None] * w[None, :]).ravel()
+
+
+def gl_halving(f, a, b, n, panel_len):
+    """f(x, w) on the n-point gl_panels of [a, b] of length panel_len and
+    of half that; returns the finer value (a scalar or an array).  Raises
+    NonConvergent when max |fine - coarse| exceeds HALVING_TOL; a NaN
+    difference does not compare above it and passes."""
+    coarse = f(*gl_panels(a, b, n, panel_len))
+    fine = f(*gl_panels(a, b, n, 0.5 * panel_len))
+    err = float(np.max(np.abs(np.subtract(fine, coarse))))
+    if err > HALVING_TOL:
+        raise NonConvergent("panel-halving estimate %.3e exceeds %g"
+                            % (err, HALVING_TOL))
+    return fine

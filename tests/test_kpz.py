@@ -55,7 +55,7 @@ def test_generic_unit_weight_is_airy_kernel(airy):
 
 def test_generic_reproduces_fermi_kernel():
     s = FiniteTempSpec(1.0, 2.0)
-    lo, hi = _lambda_cuts(s, 1.0, 1e-10)
+    lo, hi = _lambda_cuts(s, 1.0)
     v = generic_ft_kernel(airy_ai,
                           lambda l: -(1.0 * np.exp(-2.0 * l) + 1.0),
                           1.0, hi, lo, 1.0, 2.0)  # reversed = sign flip
@@ -79,9 +79,9 @@ def test_gap_makes_one_matrix_per_doubling_step(monkeypatch):
     sizes = []
     inner = kpz.kpz_matrix
 
-    def counting(spec, nodes, tol=1e-10):
+    def counting(spec, nodes):
         sizes.append(np.size(nodes))
-        return inner(spec, nodes, tol)
+        return inner(spec, nodes)
 
     monkeypatch.setattr(kpz, "kpz_matrix", counting)
     spec = FiniteTempSpec(1.0, 2.0)
@@ -127,17 +127,6 @@ def test_matrix_airy_work_does_not_grow_with_c2(monkeypatch):
         points.append(0)
         kpz_matrix(FiniteTempSpec(1.0, c2), x)
     assert points[0] > 0 and points == [points[0]] * 3
-
-
-@pytest.mark.parametrize("tol", [0.0, 1e-13, float("nan")])
-def test_tol_below_floor_refused(tol):
-    s = FiniteTempSpec(1.0, 5.0)
-    with pytest.raises(ValueError):
-        kpz_kernel(s, 0.0, 1.0, tol)
-    with pytest.raises(ValueError):
-        kpz_matrix(s, np.array([0.0, 1.0]), tol)
-    with pytest.raises(ValueError):
-        kpz_gap(s, 0.0, tol=tol)
 
 
 def test_matrix_refuses_repeated_nodes():

@@ -33,6 +33,7 @@ GOLDEN = (
     ("kpz", "--c1", "0.3", "--c2", "40", "--tau-range=-1:1:3"),
     ("tw-solve", "--tau-min=-5.5", "--tau-range=-5.5:-1.5:3"),
     ("tw-solve", "--model", "zero", "--tau-min=-1", "--tau-range=-1:1:3"),
+    ("verify", "--tau", "-1", "--N", "6"),
 )
 THREADS = "1"
 
