@@ -20,9 +20,9 @@ from .fredholm import (GridConfig, IntervalUnion, build_grid, discretize,
                        discretize_matrix, fredholm_det, fredholm_series,
                        gap_probability, half_line, nystrom, resolve)
 from .awf import (AwfTable, IDENTITIES, build_awf, identity_residual,
-                  qn_ode_residual, resolvent_endpoint, resolvent_kernel)
-from .hamiltonian import (ROUTES, hamiltonian, hamiltonian_scaling_residual,
-                          h1_derivative_residual, logdet_link_residual)
+                  resolvent_endpoint, resolvent_kernel)
+from .hamiltonian import (ROUTES, hamiltonian, h1_derivative_residual,
+                          logdet_link_residual)
 from .lax import (LaxTruncation, build_A, build_B, build_truncation,
                   lax_system_residual, schlesinger_mask,
                   schlesinger_residual)

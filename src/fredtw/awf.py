@@ -32,8 +32,8 @@ class AwfTable:
     with, so disc must have been discretized from this very model."""
 
     def __init__(self, model, disc, N):
-        if N > 8:
-            raise ValueError("N is capped at 8")
+        if not 1 <= N <= 8:
+            raise ValueError("N = %r: the order must lie in 1..8" % N)
         if disc.model is not model:
             raise ValueError("disc was not discretized from this model")
         self.model = model
@@ -106,11 +106,6 @@ class AwfTable:
         if abs(jet[0]) < self.psi_floor:
             raise PsiTooSmall("psi(%g) = %.3e below floor" % (tau, jet[0]))
         return jet
-
-    def eta(self, n, tau):
-        """eta_n(tau) = (q(tau)/psi(tau) - 1)^n, guarded by psi_floor."""
-        p = self.jet_above_floor(tau)[0]
-        return (self.eval_chi(0, 0, tau) / p - 1.0) ** n
 
     # -- resolvent kernels --------------------------------------------
 
@@ -242,8 +237,8 @@ def resolvent_endpoint(disc, tau, n_max):
 # ----------------------------------------------------------------------
 # identity registry
 
-IDENTITIES = ("CLOSURE", "ORDER", "AWF-DERIV", "AWF-PARAM", "MU01",
-              "MU00-DOT", "MUN0-DOT", "MU-SHIFT", "MU-IPRO", "QN-ODE")
+IDENTITIES = ("CLOSURE", "AWF-DERIV", "AWF-PARAM", "MU01", "MU00-DOT",
+              "MU-SHIFT", "MU-IPRO")
 
 
 def _check_endpoint(table, tau):
@@ -281,53 +276,14 @@ def closure_residual(table, n, xi):
     return table.eval_chi(n, 2, xi) - rhs
 
 
-def qn_ode_residual(table, tau, n=1):
-    """Residual of the second-order tau-ODE for chi_{n,0}(tau): the
-    second derivative is an independent centered difference (step
-    FD_STEP) over rebuilt tables; every first derivative on the
-    right-hand side comes from the identities themselves."""
-    if n + 2 > table.N:
-        raise ValueError("need table.N >= n + 2")
-    _check_endpoint(table, tau)
-    model = table.model
-    g, ud, udd = model.gamma, model.u0_dot, model.u0_ddot
-    h = FD_STEP
-    tp, tm = table.moved(0, h)
-    chi_pp = (tp.eval_chi(n, 0, tau + h) - 2.0 * table.eval_chi(n, 0, tau)
-              + tm.eval_chi(n, 0, tau - h)) / h ** 2
-
-    c = lambda k: table.eval_chi(k, 0, tau)
-    cp = lambda k: table.chi_total_deriv(k, 0)
-    q = c(0)
-    # d(mu_{k,0})/dtau = -(k+1) eta_k q^2
-    mup = lambda k: 0.0 if k < 0 else -(k + 1) * table.eta(k, tau) * q * q
-    nu_ = lambda k, a: 0.0 if k < 0 else table.nu(k, a)
-
-    rhs = (g * g / ud ** 2) * (model.v0 + tau) * c(n)
-    rhs -= (g * udd / ud ** 2) * ((2 * n + 1) * cp(n) + 2 * (n + 1) * cp(n + 1))
-    rhs -= (g * g * udd ** 2 / ud ** 4) * ((n * n + n) * c(n)
-                                           + 2 * (n + 1) ** 2 * c(n + 1)
-                                           + (n + 1) * (n + 2) * c(n + 2))
-    rhs -= (g * g * udd / ud ** 3) * (n + 1) * table.mu[0, 0] * c(n + 1)
-    for k in range(n + 1):
-        rhs -= (g / ud) * ((mup(n - k) + mup(n - k - 1))
-                           + 2.0 * nu_(n - k, 1)) * c(k)
-        for l in range(k + 1):
-            rhs += (g * g / ud ** 2) * nu_(n - k, 0) * nu_(k - l, 0) * c(l)
-        rhs -= (g * g * udd / ud ** 3) * (
-            nu_(n - k, 0) * ((n - k + 1) * c(k) - (k + 1) * c(k + 1))
-            + (n + 1) * nu_(n - k + 1, 0) * c(k))
-    return chi_pp - rhs
-
-
 def identity_residual(name, model, table, tau):
     """Signed residual of a named identity at endpoint tau.
 
     The table must be built on [tau, inf) from model; any other tau or
     model raises ValueError.  The orders are fixed: n = N = table.N
-    for ORDER (with p = 0), MU-SHIFT and MU-IPRO; n = N - 1 for
-    CLOSURE, AWF-DERIV, AWF-PARAM and MUN0-DOT; n = 1 for QN-ODE.
-    FD-based identities rebuild private tables at tau +- FD_STEP.
+    for MU-SHIFT and MU-IPRO; n = N - 1 for CLOSURE, AWF-DERIV and
+    AWF-PARAM.  FD-based identities rebuild private tables at
+    tau +- FD_STEP.
     """
     if name not in IDENTITIES:
         raise ValueError("unknown identity %r" % name)
@@ -340,15 +296,6 @@ def identity_residual(name, model, table, tau):
 
     if name == "CLOSURE":
         return closure_residual(table, N - 1, tau)
-
-    if name == "ORDER":
-        r = 0.0
-        for a in range(2):
-            lhs = table.eval_chi(N, a, tau)
-            rhs = table.eta(N, tau) * table.eval_chi(0, a, tau)
-            if abs(lhs - rhs) > abs(r):
-                r = lhs - rhs
-        return r
 
     if name == "AWF-DERIV":
         # xi-derivative identity vs centered FD of the Nystrom extension
@@ -375,12 +322,6 @@ def identity_residual(name, model, table, tau):
         fd = (tp.mu[0, 0] - tm.mu[0, 0]) / (2.0 * h)
         return fd + table.eval_chi(0, 0, tau) ** 2
 
-    if name == "MUN0-DOT":
-        tp, tm = table.moved(0, h)
-        fd = (tp.mu[N - 1, 0] - tm.mu[N - 1, 0]) / (2.0 * h)
-        q = table.eval_chi(0, 0, tau)
-        return fd + N * table.eta(N - 1, tau) * q * q
-
     if name == "MU-SHIFT":
         w = table.grid.weights
         q = table.chi[0, 0]
@@ -391,19 +332,16 @@ def identity_residual(name, model, table, tau):
             r = lhs - rhs if abs(lhs - rhs) > abs(r) else r
         return r
 
-    if name == "MU-IPRO":
-        w = table.grid.weights
-        psi = table.disc.psi
-        q = table.chi[0, 0]
-        r = 0.0
-        for a in range(2):
-            acc = ((-1.0) ** N) * psi * table.chi[0, a]
-            for k in range(N):
-                acc -= ((-1.0) ** (N - k)) * table.chi[k, a] * q
-            rhs = float(np.dot(w, acc))
-            lhs = table.mu[N, a]
-            r = lhs - rhs if abs(lhs - rhs) > abs(r) else r
-        return r
-
-    # QN-ODE
-    return qn_ode_residual(table, tau)
+    # MU-IPRO
+    w = table.grid.weights
+    psi = table.disc.psi
+    q = table.chi[0, 0]
+    r = 0.0
+    for a in range(2):
+        acc = ((-1.0) ** N) * psi * table.chi[0, a]
+        for k in range(N):
+            acc -= ((-1.0) ** (N - k)) * table.chi[k, a] * q
+        rhs = float(np.dot(w, acc))
+        lhs = table.mu[N, a]
+        r = lhs - rhs if abs(lhs - rhs) > abs(r) else r
+    return r

@@ -1,7 +1,7 @@
 """
 Hamiltonians H_n at the interval endpoint: three computation routes,
-the order-scaling identity, and the link between H_1 and the
-log-derivative of the Fredholm determinant.
+the link between H_1 and the log-derivative of the Fredholm
+determinant, and the tau-derivative of H_1.
 
 Routes:
   DIAGONAL    (gamma/u0_dot) R_n(tau, tau) via the matrix-resolvent
@@ -65,20 +65,6 @@ def hamiltonian(table, n, tau, route="DIAGONAL"):
     q, qp, qpp = _q_derivs(table, tau)
     corr = (g * udd / ud ** 2) * q * (qp / p - pp * q / (p * p))
     return qp * qp - q * (qpp - (g / ud) * q ** 3 + corr)
-
-
-def hamiltonian_scaling_residual(table, n, tau):
-    """H_n - n eta^{n-1} H_1, both Hamiltonians by the DIAGONAL route."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_endpoint(table, tau)
-    m = table.model
-    diag = resolvent_endpoint(table.disc, tau, n)
-    h1 = (m.gamma / m.u0_dot) * float(diag[0])
-    hn = (m.gamma / m.u0_dot) * float(diag[n - 1])
-    if n == 1 or (h1 == 0.0 and hn == 0.0):
-        return hn - n * h1 if n == 1 else 0.0
-    return hn - n * table.eta(n - 1, tau) * h1
 
 
 def logdet_link_residual(model, tau, h=1e-3):

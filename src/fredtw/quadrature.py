@@ -35,12 +35,12 @@ def gl_panels(a, b, n, panel_len=math.inf):
 def gl_halving(f, a, b, n, panel_len):
     """f(x, w) on the n-point gl_panels of [a, b] of length panel_len and
     of half that; returns the finer value (a scalar or an array).  Raises
-    NonConvergent when max |fine - coarse| exceeds HALVING_TOL; a NaN
-    difference does not compare above it and passes."""
+    NonConvergent unless max |fine - coarse| is at most HALVING_TOL, so
+    a NaN difference raises too."""
     coarse = f(*gl_panels(a, b, n, panel_len))
     fine = f(*gl_panels(a, b, n, 0.5 * panel_len))
     err = float(np.max(np.abs(np.subtract(fine, coarse))))
-    if err > HALVING_TOL:
+    if not err <= HALVING_TOL:
         raise NonConvergent("panel-halving estimate %.3e exceeds %g"
                             % (err, HALVING_TOL))
     return fine

@@ -27,7 +27,7 @@ def airy_table(airy):
 def endpoint_q(model, tau):
     """Independent oracle for q(tau) = [(I - K_[tau,inf))^{-1} psi](tau):
     a fresh Nystrom resolvent build on the half-line starting at tau."""
-    table = build_awf(model, nystrom(half_line(tau), model=model), 0)
+    table = build_awf(model, nystrom(half_line(tau), model=model), 1)
     return table.eval_chi(0, 0, tau)
 
 

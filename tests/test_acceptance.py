@@ -4,22 +4,23 @@ CRITERION n ...: PASS/FAIL line (visible with pytest -s or on failure).
 
 Criteria 4 and 5 each carry a strict-xfail companion for the
 order-scaling relation and its corollaries, which are mathematically
-false as stated; the analysis lives in notes/decisions.md.
+false as stated and live in false_relations.py, not in the package; the
+analysis lives in notes/decisions.md.
 """
 
 import math
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from fredtw import (GridConfig, IntervalUnion, build_awf, build_truncation,
-                    gap_probability, half_line, identity_residual,
-                    lax_system_residual, nystrom, qn_ode_residual,
+from fredtw import (IDENTITIES, GridConfig, IntervalUnion, build_awf,
+                    build_truncation, gap_probability, half_line,
+                    identity_residual, lax_system_residual, nystrom,
                     schlesinger_mask, schlesinger_residual, solve_q)
 from fredtw.hamiltonian import (h1_derivative_residual, hamiltonian,
-                                hamiltonian_scaling_residual,
                                 logdet_link_residual)
 from fredtw.kernel import cd_kernel, kernel_derivative_residual, kernel_direct
 from fredtw.kpz import FiniteTempSpec, kpz_gap, kpz_kernel, u_reparam_check
@@ -28,6 +29,7 @@ from fredtw.twsolver import det_via_alternative, det_via_functional, \
 from fredtw.wavefun import airy_model
 
 from conftest import endpoint_q
+from false_relations import FALSE_RELATIONS, hamiltonian_scaling_residual
 
 
 def _report(k, name, ok, detail):
@@ -98,33 +100,29 @@ def test_criterion_3_tracy_widom_reduction(airy_sol):
             % (worst, pii))
 
 
-PASSING_IDENTITIES = ("CLOSURE", "AWF-DERIV", "AWF-PARAM", "MU01",
-                      "MU00-DOT", "MU-SHIFT", "MU-IPRO")
-ALGEBRAIC = {"CLOSURE", "MU01", "MU-SHIFT", "MU-IPRO", "ORDER"}
+ALGEBRAIC = {"CLOSURE", "MU01", "MU-SHIFT", "MU-IPRO"}
 
 
-def _registry_sweep(airy, names, with_qn=False):
-    worst = {n: 0.0 for n in names}
-    qn = 0.0
+def _registry_sweep(airy, residuals):
+    """Largest |residual(table, tau)| of each named residual over the
+    order-4 tables of [tau, inf), tau in {-1, 0, 1, 2}."""
+    worst = dict.fromkeys(residuals, 0.0)
     for tau in (-1.0, 0.0, 1.0, 2.0):
         table = build_awf(airy, nystrom(half_line(tau), model=airy), 4)
-        for n in names:
-            worst[n] = max(worst[n],
-                           abs(identity_residual(n, airy, table, tau)))
-        if with_qn:
-            qn = max(qn, abs(qn_ode_residual(table, tau, n=1)))
-    return worst, qn
+        for n, residual in residuals.items():
+            worst[n] = max(worst[n], abs(residual(table, tau)))
+    return worst
 
 
 def test_criterion_4_identity_registry(airy):
     t0 = time.monotonic()
-    worst, _ = _registry_sweep(airy, PASSING_IDENTITIES)
+    worst = _registry_sweep(airy, {n: partial(identity_residual, n, airy)
+                                   for n in IDENTITIES})
     dt = time.monotonic() - t0
     ok = all(r <= (1e-8 if n in ALGEBRAIC else 1e-6)
              for n, r in worst.items()) and dt <= 180.0
     detail = " ".join("%s=%.1e" % (n, r) for n, r in worst.items())
-    _report(4, "identity registry (7 of 10)", ok,
-            detail + ", %.1fs/180s" % dt)
+    _report(4, "identity registry", ok, detail + ", %.1fs/180s" % dt)
 
 
 @pytest.mark.xfail(
@@ -137,12 +135,13 @@ def test_criterion_4_identity_registry(airy):
            "(finite-difference) mu-dot restores the ODE to 7e-9. "
            "See notes/decisions.md")
 def test_criterion_4_order_scaling_identities(airy):
-    worst, qn = _registry_sweep(airy, ("ORDER", "MUN0-DOT"), with_qn=True)
+    worst = _registry_sweep(airy, FALSE_RELATIONS)
     ok = worst["ORDER"] <= 1e-8 and worst["MUN0-DOT"] <= 1e-6 \
-        and qn <= 1e-5
-    _report(4, "identity registry (ORDER, MUN0-DOT, QN-ODE)", ok,
+        and worst["QN-ODE"] <= 1e-5
+    _report(4, "false relations (ORDER, MUN0-DOT, QN-ODE)", ok,
             "ORDER=%.1e tol=1e-8, MUN0-DOT=%.1e tol=1e-6, QN-ODE=%.1e "
-            "tol=1e-5" % (worst["ORDER"], worst["MUN0-DOT"], qn))
+            "tol=1e-5" % (worst["ORDER"], worst["MUN0-DOT"],
+                          worst["QN-ODE"]))
 
 
 def test_criterion_5_hamiltonian_stack(airy, airy_table):

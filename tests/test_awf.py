@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fredtw.awf import (IDENTITIES, _rebuild, build_awf, identity_residual,
-                        qn_ode_residual, resolvent_endpoint,
-                        resolvent_kernel, resolvent_matrix)
+                        resolvent_endpoint, resolvent_kernel,
+                        resolvent_matrix)
 from fredtw.errors import PsiTooSmall
 from fredtw.fredholm import (GridConfig, discretize, discretize_matrix,
                              half_line, nystrom)
@@ -11,6 +11,8 @@ from fredtw.kernel import kernel_row
 from fredtw.wavefun import airy_model, damped_airy_model
 
 from conftest import counting
+from false_relations import (FALSE_RELATIONS, eta, mun0_dot_residual,
+                             order_residual, qn_ode_residual)
 
 ETA0_AIRY = 0.033894497993848915  # eta_1(0) = q(0)/Ai(0) - 1, frozen
 
@@ -19,8 +21,8 @@ FD_BASED = ("AWF-DERIV", "AWF-PARAM", "MU00-DOT")
 
 
 def test_eta_frozen(airy_table):
-    assert airy_table.eta(1, 0.0) == pytest.approx(ETA0_AIRY, abs=1e-9)
-    assert airy_table.eta(2, 0.0) == pytest.approx(ETA0_AIRY ** 2, rel=1e-9)
+    assert eta(airy_table, 1, 0.0) == pytest.approx(ETA0_AIRY, abs=1e-9)
+    assert eta(airy_table, 2, 0.0) == pytest.approx(ETA0_AIRY ** 2, rel=1e-9)
 
 
 def test_build_awf_takes_one_pair_pass(airy, airy_table):
@@ -53,7 +55,7 @@ def test_eval_chi_takes_one_scalar_pair_per_xi(airy, airy_table):
             assert table.eval_chi(n, a, 0.25) \
                 == airy_table.eval_chi(n, a, 0.25)
     assert calls == {"array": 0, "scalar": 1}
-    assert table.eta(2, 0.25) == airy_table.eta(2, 0.25)
+    assert table.jet_above_floor(0.25) == airy_table.jet_above_floor(0.25)
     assert calls == {"array": 0, "scalar": 1}
 
 
@@ -89,9 +91,12 @@ def test_moved_tables_keep_the_grid_settings(airy):
 
 
 def test_chi_order_cap(airy):
+    """N must lie in 1..8: the identities read chi_{N-1}, which an
+    order-0 table does not hold."""
     disc = nystrom(half_line(0.0), model=airy)
-    with pytest.raises(ValueError):
-        build_awf(airy, disc, 9)
+    for N in (9, 0, -1):
+        with pytest.raises(ValueError, match="1..8"):
+            build_awf(airy, disc, N)
 
 
 def test_algebraic_identities(airy, airy_table):
@@ -104,14 +109,6 @@ def test_fd_identities(airy, airy_table):
     for name in FD_BASED:
         r = identity_residual(name, airy, airy_table, 0.0)
         assert abs(r) < 1e-6, name
-
-
-def test_qn_ode_at_origin(airy, airy_table):
-    # passes here, but see test_qn_ode_left_of_origin: the identity as
-    # stated decays with the kernel norm rather than holding uniformly
-    assert abs(qn_ode_residual(airy_table, 0.0, n=1)) < 1e-5
-    with pytest.raises(ValueError):
-        qn_ode_residual(airy_table, 0.0, n=3)
 
 
 @pytest.mark.xfail(
@@ -132,7 +129,7 @@ def test_qn_ode_left_of_origin(airy):
            "the 0.2-20% relative level, confirmed by an independent "
            "Neumann-series check; see notes/decisions.md")
 def test_order_scaling_identity(airy, airy_table):
-    assert abs(identity_residual("ORDER", airy, airy_table, 0.0)) < 1e-8
+    assert abs(order_residual(airy_table, 0.0)) < 1e-8
 
 
 @pytest.mark.xfail(
@@ -140,12 +137,14 @@ def test_order_scaling_identity(airy, airy_table):
     reason="d(mu_{n,0})/dtau = -(n+1) eta_n q^2 inherits the failure of "
            "the order-scaling relation for n >= 1; see notes/decisions.md")
 def test_mun0_dot_identity(airy, airy_table):
-    assert abs(identity_residual("MUN0-DOT", airy, airy_table, 0.0)) < 1e-6
+    assert abs(mun0_dot_residual(airy_table, 0.0)) < 1e-6
 
 
 def test_unknown_identity(airy, airy_table):
-    with pytest.raises(ValueError):
-        identity_residual("NOPE", airy, airy_table, 0.0)
+    """The relations recorded as false are not in the registry."""
+    for name in ("NOPE", *FALSE_RELATIONS):
+        with pytest.raises(ValueError, match="unknown identity"):
+            identity_residual(name, airy, airy_table, 0.0)
 
 
 def test_identity_refuses_another_model(airy_table):
@@ -157,11 +156,9 @@ def test_identity_refuses_another_model(airy_table):
 def test_identities_refuse_another_endpoint(airy, airy_table):
     """The table holds its endpoint: a tau elsewhere is refused, not read
     as the endpoint (MU00-DOT at tau = 0.5 on [0, inf) gave -0.0777)."""
-    for name in ("MU00-DOT", "MU01", "CLOSURE", "QN-ODE"):
+    for name in ("MU00-DOT", "MU01", "CLOSURE"):
         with pytest.raises(ValueError, match="endpoint"):
             identity_residual(name, airy, airy_table, 0.5)
-    with pytest.raises(ValueError, match="endpoint"):
-        qn_ode_residual(airy_table, 0.5, n=1)
     assert abs(identity_residual("MU00-DOT", airy, airy_table, 0.0)) < 1e-6
 
 
@@ -196,4 +193,4 @@ def test_eta_guard():
     m = airy_model()
     table = build_awf(m, nystrom(half_line(0.0), model=m), 1)
     with pytest.raises(PsiTooSmall):
-        table.eta(1, 7.9)  # Ai is far below the floor there
+        table.jet_above_floor(7.9)  # Ai is far below the floor there

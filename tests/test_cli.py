@@ -76,15 +76,20 @@ def test_closed_form_route_on_a_coarse_grid(tmp_path, capsys):
     assert abs(vals["CLOSED_FORM"] - vals["DIAGONAL"]) < 1e-6
 
 
-def test_verify_reports_known_failures(tmp_path):
+def test_verify_reports_the_registry(tmp_path):
+    """verify checks the seven registered identities, in order, and all
+    pass, from N = 1 up; N = 0 is a usage error."""
     out = tmp_path / "verify.json"
-    code = run(["verify", "--model", "airy", "--tau", "0",
-                "--out", str(out)])
-    report = json.loads(_read(out))
-    failing = {c["check"] for c in report["checks"] if not c["pass"]}
-    # the two identities that genuinely fail (see notes/decisions.md)
-    assert failing == {"ORDER", "MUN0-DOT"}
-    assert code == 2
+    for N in ("4", "1"):
+        assert run(["verify", "--model", "airy", "--tau", "0", "--N", N,
+                    "--out", str(out)]) == 0
+        checks = json.loads(_read(out))["checks"]
+        assert [c["check"] for c in checks] == [
+            "CLOSURE", "AWF-DERIV", "AWF-PARAM", "MU01", "MU00-DOT",
+            "MU-SHIFT", "MU-IPRO"]
+        assert all(c["pass"] for c in checks)
+    assert run(["verify", "--tau", "0", "--N", "0",
+                "--out", str(out)]) == 1
 
 
 def test_lax_report(tmp_path):

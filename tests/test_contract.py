@@ -1,7 +1,8 @@
 """The names the benchmark's span tracer (perfbench/spans.py) patches from
 outside the package must stay bound, or its per-layer figures silently
 read zero; the calls its worker (perfbench/worker.py) makes must still
-fit the signatures, or its operations silently fail."""
+fit the signatures, or its operations silently fail; its output checks
+(perfbench/checks.py) must cover the whole identity registry."""
 
 import importlib
 import importlib.util
@@ -9,22 +10,25 @@ import inspect
 import math
 from pathlib import Path
 
-from fredtw import (airy_model, build_awf, build_grid, discretize,
-                    half_line, hamiltonian, identity_residual,
+from fredtw import (IDENTITIES, airy_model, build_awf, build_grid,
+                    discretize, half_line, hamiltonian, identity_residual,
                     logdet_link_residual)
+from fredtw.cli import _IDENTITY_TOL
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    """perfbench/<name>.py, loaded by path as perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, PERFBENCH / (name + ".py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.TRACED
+    return mod
 
 
 def test_traced_names_are_bound():
-    traced = _traced()
+    traced = _load("spans").TRACED
     pairs = {(m, a) for m, a, _, _ in traced}
     assert {("fredtw.awf", "_rebuild"),
             ("fredtw.fredholm", "lu_factor")} <= pairs
@@ -54,3 +58,12 @@ def test_worker_call_shapes_bind():
               (discretize, (m, grid), {}))
     for f, args, kwargs in shapes:
         inspect.signature(f).bind(*args, **kwargs)
+
+
+def test_benchmark_checks_the_whole_registry(monkeypatch):
+    """identity_stack asserts every registered identity at the tolerance
+    verify uses, and verify holds a tolerance for exactly the registry."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # checks.py imports reference
+    checks = _load("checks")
+    assert checks.IDENTITY_TOL == {n: _IDENTITY_TOL[n] for n in IDENTITIES}
+    assert set(_IDENTITY_TOL) == set(IDENTITIES)

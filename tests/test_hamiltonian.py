@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fredtw.hamiltonian import (ROUTES, _q_derivs, h1_derivative_residual,
-                                hamiltonian, hamiltonian_scaling_residual,
-                                logdet_link_residual)
+                                hamiltonian, logdet_link_residual)
 from fredtw.awf import build_awf
 from fredtw.fredholm import half_line, nystrom
-from fredtw.wavefun import zero_model
+
+from false_relations import hamiltonian_scaling_residual
 
 # H_1(tau) frozen from the matrix-resolvent route at reference grids
 H1_AIRY = {-1.0: 0.35374863745, 0.0: 0.069091380709,
@@ -65,22 +65,12 @@ def test_scaling_identity(airy, airy_table):
         assert abs(r) <= 1e-6 * abs(h1), n
 
 
-def test_scaling_trivial_cases(airy, airy_table):
-    # n = 1 is an exact tautology
-    assert hamiltonian_scaling_residual(airy_table, 1, 0.0) == 0.0
-    # the zero model carries zero Hamiltonians at every order
-    m = zero_model()
-    table = build_awf(m, nystrom(half_line(0.0), model=m), 3)
-    assert hamiltonian_scaling_residual(table, 2, 0.0) == 0.0
-
-
 def test_endpoint_functions_refuse_another_tau(airy_table):
     """The table holds its endpoint: a tau elsewhere is refused (on
     [0, inf), CLOSED_FORM at tau = 0.5 gave 0.0466 against DIAGONAL's
     0.0245)."""
     calls = [lambda t, r=r: hamiltonian(airy_table, 1, t, r) for r in ROUTES]
     calls += [lambda t: _q_derivs(airy_table, t),
-              lambda t: hamiltonian_scaling_residual(airy_table, 2, t),
               lambda t: h1_derivative_residual(airy_table, t)]
     for call in calls:
         with pytest.raises(ValueError, match="endpoint"):

@@ -35,8 +35,10 @@ def test_halving_refuses_a_gap_past_the_tolerance(which):
                           f(*gl_panels(0.0, 1.0, 4, 0.5)))
 
 
-def test_halving_passes_a_nan_difference():
+def test_halving_refuses_a_nan_difference():
+    """A NaN on one rule makes the estimate NaN, which is no pass."""
     f = lambda x, w: math.nan if x.size == 4 else 1.0
-    assert gl_halving(f, 0.0, 1.0, 4, 1.0) == 1.0
-    g = lambda x, w: np.full((2, 2), math.nan if x.size == 4 else 1.0)
-    assert np.array_equal(gl_halving(g, 0.0, 1.0, 4, 1.0), np.ones((2, 2)))
+    g = lambda x, w: np.diag([1.0, math.nan if x.size == 4 else 1.0])
+    for h in (f, g):
+        with pytest.raises(NonConvergent):
+            gl_halving(h, 0.0, 1.0, 4, 1.0)
