@@ -48,7 +48,6 @@ class AwfTable:
                psi_second_from(model, self.grid.nodes, disc.psi, disc.psip))
         for a in range(3):
             self.chi[0, a] = resolve(disc, jet[a])
-            self.rho_chi[0, a] = self.chi[0, a]  # rho psi = chi_0 already
         # chi_{n+1,a} = R chi_{n,a} = K_w rho chi_{n,a}
         for n in range(N):
             for a in range(3):

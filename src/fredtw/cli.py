@@ -175,6 +175,8 @@ def _cmd_tw_solve(args, gcfg, seed):
 
 
 def _cmd_hamiltonian(args, gcfg, seed):
+    if not 1 <= args.n <= 6:       # the table has order max(n + 2, 3) <= 8
+        raise ValueError("--n = %r: the order must lie in 1..6" % args.n)
     model = _MODELS[args.model]()
     table = build_awf(model, nystrom(half_line(args.tau), gcfg, model),
                       max(args.n + 2, 3))

@@ -81,6 +81,14 @@ class GridConfig:
     def __post_init__(self):
         if self.nodes_per_panel < 4:
             raise ValueError("nodes_per_panel must be at least 4")
+        for name in ("L_start", "max_panel_len"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive and finite" % name)
+        if not self.L_start <= self.L_max < math.inf:
+            raise ValueError("L_max must be finite and at least L_start")
+        for name in ("tail_tol", "det_stab_tol"):     # NaN fails too
+            if not getattr(self, name) > 0.0:
+                raise ValueError("%s must be positive" % name)
 
 
 @dataclass(frozen=True)

@@ -71,15 +71,17 @@ class FiniteTempSpec:
         return self.c2 * e / (1.0 + e) ** 2
 
 
+# Airy argument past which the phi^2 envelope is negligible:
+# Ai(10)^2 = 1.2e-20 is already below HALVING_TOL/100 = 1e-12.
+_AIRY_CUT = 10.0
+
+
 def _lambda_cuts(spec, x_min):
     """Two-sided truncation of the lambda axis: left where the Fermi
     factor drops below HALVING_TOL/100, right where the phi^2 envelope
-    does (Airy decay gauged at the smallest kernel argument)."""
+    does (the Airy argument _AIRY_CUT at the smallest kernel argument)."""
     lo = min(math.log(0.01 * HALVING_TOL * spec.c1) / spec.c2 - 1.0, -2.0)
-    a = 10.0
-    while airy_ai(np.array([a]))[0] ** 2 > 0.01 * HALVING_TOL and a < 60.0:
-        a += 5.0
-    hi = max(a - spec.gamma * x_min, lo + 4.0)
+    hi = max(_AIRY_CUT - spec.gamma * x_min, lo + 4.0)
     return lo, hi
 
 

@@ -135,6 +135,10 @@ class LaxTruncation:
 
 
 def build_truncation(model, iu, N, cfg=None):
+    """The order-N truncation on iu.  Its table has order N + 1, at most 8,
+    and the measured components n <= N-2 need N >= 2."""
+    if not 2 <= N <= 7:
+        raise ValueError("N = %r: the truncation order must lie in 2..7" % N)
     table = build_awf(model, nystrom(iu, cfg, model), N + 1)
     A = tuple(build_A(table, j, N) for j in range(len(iu.finite_endpoints)))
     return LaxTruncation(N, table, A)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fredtw import cli, lax
 from fredtw.cli import _load_config, run
 
 
@@ -172,3 +173,30 @@ def test_config_rejects_unknown_names(tmp_path, capsys, text, name):
     assert run(["--config", str(cfg), "det", "--tau", "0"]) == 1
     err = capsys.readouterr().err
     assert name in err
+
+
+def test_config_rejects_unusable_values(tmp_path, capsys):
+    """A negative panel length would halve the panels forever."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[grid]\nmax_panel_len = -1\n")
+    assert run(["--config", str(cfg), "det", "--tau", "0"]) == 1
+    assert "max_panel_len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["lax", "--N", "0"], "N = 0"),
+    (["lax", "--N", "1"], "N = 1"),
+    (["lax", "--N", "8"], "N = 8"),
+    (["hamiltonian", "--tau", "0", "--n", "0"], "--n = 0"),
+    (["hamiltonian", "--tau", "0", "--n", "7"], "--n = 7"),
+])
+def test_order_options_are_refused_by_name(monkeypatch, capsys, argv, name):
+    """lax --N lies in 2..7 and hamiltonian --n in 1..6; anything else is
+    refused, naming the value given, before a table is built."""
+    def refuse(*args, **kw):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli, "nystrom", refuse)
+    monkeypatch.setattr(lax, "nystrom", refuse)
+    assert run(argv) == 1
+    assert name in capsys.readouterr().err

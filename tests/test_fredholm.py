@@ -88,8 +88,20 @@ def test_det_result_fields(airy):
 
 
 def test_grid_config_validation():
-    with pytest.raises(ValueError):
-        GridConfig(nodes_per_panel=3)
+    """Settings the grid cannot use are refused up front: a panel length
+    of -1 would halve h forever, 0 divides by zero, and a NaN tolerance
+    would switch its test off."""
+    bad = [dict(nodes_per_panel=3)]
+    for v in (0.0, -8.0, math.inf, math.nan):
+        bad += [dict(L_start=v), dict(max_panel_len=v)]
+    for v in (math.inf, math.nan, 4.0):                # 4 < L_start = 8
+        bad.append(dict(L_max=v))
+    for v in (0.0, -1e-12, math.nan):
+        bad += [dict(tail_tol=v), dict(det_stab_tol=v)]
+    for kw in bad:
+        with pytest.raises(ValueError):
+            GridConfig(**kw)
+    GridConfig(L_start=16.0, L_max=16.0, max_panel_len=0.5)
 
 
 def test_gap_reuses_the_accepted_discretization(airy):

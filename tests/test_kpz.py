@@ -9,7 +9,8 @@ from fredtw.fredholm import (GridConfig, build_grid, discretize_matrix,
 from fredtw.kernel import cd_kernel
 from fredtw.kpz import (FiniteTempSpec, generic_ft_kernel, kpz_gap,
                         kpz_kernel, kpz_matrix, u_reparam_check,
-                        _lambda_cuts)
+                        _AIRY_CUT, _lambda_cuts)
+from fredtw.quadrature import HALVING_TOL
 
 
 def test_spec_validation():
@@ -56,6 +57,7 @@ def test_generic_unit_weight_is_airy_kernel(airy):
 def test_generic_reproduces_fermi_kernel():
     s = FiniteTempSpec(1.0, 2.0)
     lo, hi = _lambda_cuts(s, 1.0)
+    assert airy_ai(_AIRY_CUT) ** 2 < 0.01 * HALVING_TOL
     v = generic_ft_kernel(airy_ai,
                           lambda l: -(1.0 * np.exp(-2.0 * l) + 1.0),
                           1.0, hi, lo, 1.0, 2.0)  # reversed = sign flip
