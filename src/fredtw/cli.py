@@ -287,8 +287,8 @@ def _build_parser():
                    help="a:b:n sweep instead of --tau")
     p.set_defaults(func=_cmd_det)
 
-    p = sub.add_parser("tw-solve", help="BVP solve and both functional "
-                                        "determinant routes")
+    p = sub.add_parser("tw-solve", help="q-equation solve and both "
+                                        "functional determinant routes")
     common(p)
     p.add_argument("--tau-min", dest="tau_min", type=float, default=-2.0)
     p.add_argument("--tau-range", dest="tau_range")

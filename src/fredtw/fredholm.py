@@ -35,6 +35,8 @@ class IntervalUnion:
         if len(e) < 2 or len(e) % 2 != 0:
             raise ValueError("need an even number of endpoints "
                              "(use inf to mark a half-infinite component)")
+        if any(math.isnan(t) for t in e):
+            raise ValueError("endpoints must not be NaN (got %r)" % (e,))
         if any(b <= a for a, b in zip(e, e[1:])):
             raise ValueError("endpoints must be strictly increasing")
         if any(not math.isfinite(t) for t in e[:-1]):

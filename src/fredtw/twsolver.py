@@ -5,18 +5,19 @@ q = (I-K)^{-1} psi restricted to the endpoint satisfies, for models with
 u0_ddot = 0, the local second-order equation
 (u0_dot/gamma)^2 q'' = (v0 + tau) q + 2 (u0_dot/gamma) q^3 (Painleve II
 for the Airy model).  Models with u0_ddot != 0 are refused: the closed
-equation written for them is false (see notes/decisions.md).  We solve
-it by piecewise Chebyshev-Lobatto collocation (spectral elements with
-C^1 interfaces): one pass of a backward IVP predictor and a damped
-Newton corrector with q, q' matched to psi, psi' at the right end
-T_match.  Panelization is essential, not cosmetic: a single global
-Chebyshev grid on a length-10 domain carries O(n^4)-scaled rows whose
-roundoff drowns the exponentially small right-end data that determines
-the solution, while short panels keep the differentiation scale small
-so the conditioning reduces to the physical sensitivity of the
-right-anchored problem.
+equation written for them is false (see notes/decisions.md).  The solve
+is one backward DOP853 integration from q, q' = psi, psi' at the right
+end T_match, sampled on piecewise Chebyshev-Lobatto panels (spectral
+elements).  The panels serve what follows the solve: q' by spectral
+differentiation, the collocation residual of the q-equation, and the
+antiderivatives of the functionals.  They are short because a single
+global Chebyshev grid on a length-10 domain carries O(n^4)-scaled
+differentiation rows whose roundoff drowns the exponentially small
+right-end data.  A collocation Newton corrector with q, q' pinned at
+T_match poses the same terminal-value problem again and is flat along
+the growing mode at double precision, so there is none.
 
-The converged solution feeds two independent expressions for
+The solution feeds two independent expressions for
 F([tau, inf)) = det(I - K): the q-functional integral and the
 (sigma - tau)-weighted alternative; both are quadratures over the
 collocation grid with a psi-asymptote tail closure beyond T_match,
@@ -37,8 +38,6 @@ from .wavefun import WaveModel, psi_second_from
 PANEL_LEN = 2.0         # target spectral-element length
 PANEL_DEGREE = 20       # Lobatto degree per element
 MATCH_TOL = 1e-9        # on |q - psi| at T_match
-NEWTON_TOL = 1e-10      # on the Newton step, not on |F|
-MAX_NEWTON = 40
 TAIL_TOL = 1e-10        # on each of the three tail integrals
 TAIL_PANEL = 2.0        # panel length of the tail rule; its check halves it
 TAIL_NODES = 20
@@ -60,9 +59,9 @@ class QSolution:
     tau_grid: np.ndarray        # all panel nodes, concatenated ascending
     q: np.ndarray
     qp: np.ndarray              # spectral derivative of q
-    qpp: np.ndarray             # RHS of the q-equation on the converged q
+    qpp: np.ndarray             # RHS of the q-equation on q
     tails: Tuple[float, float, float]  # see _tails, from match_T on
-    iterations: int             # predictor-corrector passes: always 1
+    iterations: int             # one backward integration: always 1
     residual_norm: float
 
     def _locate(self, t):
@@ -135,12 +134,6 @@ def _ode_rhs(model, t, q):
     return (g * g / ud ** 2) * (model.v0 + t) * q + (2.0 * g / ud) * q ** 3
 
 
-def _ode_jac(model, t, q):
-    """d rhs/d q as a nodal diagonal array."""
-    g, ud = model.gamma, model.u0_dot
-    return (g * g / ud ** 2) * (model.v0 + t) + (2.0 * g / ud) * (3.0 * q ** 2)
-
-
 def _ode_residual(model, panels, t, q):
     """(q', q'' - rhs) at every node, q'' by double spectral
     differentiation on each panel."""
@@ -194,75 +187,25 @@ def _tails(model, T):
                         "T + %g" % (TAIL_TOL, cut_max))
 
 
-class _System:
-    """Global collocation system over the spectral elements.
-
-    Row layout mirrors the node layout: interior nodes carry the ODE,
-    each interface carries the C^0/C^1 matching pair, and the last two
-    rows of the final panel carry the right-end boundary conditions."""
-
-    def __init__(self, model, panels, psi_T, psip_T):
-        self.model = model
-        self.panels = panels
-        self.psi_T = psi_T
-        self.psip_T = psip_T
-        self.t = np.concatenate([p.nodes for p in panels])
-
-    def residual(self, q):
-        qp, F = _ode_residual(self.model, self.panels, self.t, q)
-        for prev, p in zip(self.panels[:-1], self.panels[1:]):
-            # C^1 then C^0 across the interface
-            F[p.s.start] = qp[prev.s.stop - 1] - qp[p.s.start]
-            F[prev.s.stop - 1] = q[prev.s.stop - 1] - q[p.s.start]
-        F[-2] = qp[-1] - self.psip_T
-        F[-1] = q[-1] - self.psi_T
-        return F
-
-    def jacobian(self, q):
-        n = self.t.size
-        J = np.zeros((n, n))
-        dq = _ode_jac(self.model, self.t, q)
-        for p in self.panels:
-            J[p.s, p.s] = p.D @ p.D - np.diag(dq[p.s])
-        for prev, p in zip(self.panels[:-1], self.panels[1:]):
-            i, j = p.s.start, prev.s.stop - 1
-            J[i, :] = 0.0
-            J[i, prev.s] = prev.D[-1]
-            J[i, p.s] -= p.D[0]
-            J[j, :] = 0.0
-            J[j, j] = 1.0
-            J[j, i] = -1.0
-        last = self.panels[-1]
-        J[-2, :] = 0.0
-        J[-2, last.s] = last.D[-1]
-        J[-1, :] = 0.0
-        J[-1, -1] = 1.0
-        return J
-
-
 def solve_q(model, tau_min):
-    """Collocation solution of the q-equation on [tau_min, T_match],
-    T_match = max(tau_min + 10, 8)."""
+    """The q-equation's solution on [tau_min, T_match], T_match =
+    max(tau_min + 10, 8), integrated backward from (psi, psi')(T_match)
+    and sampled on the spectral elements."""
+    if not math.isfinite(tau_min):
+        raise ValueError("tau_min must be finite (got %r)" % tau_min)
     if model.u0_ddot != 0.0:
         raise ValueError("the q-equation route needs u0_ddot = 0 (got %g); "
                          "see notes/decisions.md" % model.u0_ddot)
     T = max(tau_min + 10.0, 8.0)
     panels = _make_panels(tau_min, T)
+    t = np.concatenate([p.nodes for p in panels])
     psi_T, psip_T = (float(v) for v in model.pair(T))
-    sys = _System(model, panels, psi_T, psip_T)
-    t = sys.t
     tails = _tails(model, T)
-
-    def predict():
-        # backward integration of the ODE from the right-end data.
-        # This direction is numerically benign -- the
+    if psi_T == 0.0 and psip_T == 0.0:
+        q = np.zeros_like(t)
+    else:
+        # backward from the right-end data, the direction in which the
         # mode that decays toward +inf is resolved in a relative sense
-        # -- and places the Newton corrector inside the basin of the
-        # decaying solution, which a collocation residual alone cannot
-        # distinguish from its bounded neighbours at double precision.
-        if psi_T == 0.0 and psip_T == 0.0:
-            return np.zeros_like(t)
-
         def rhs(s, y):
             qv, qpv = y
             return [qpv, float(_ode_rhs(model, np.float64(s), qv))]
@@ -274,41 +217,9 @@ def solve_q(model, tau_min):
                         method="DOP853", rtol=3e-13, atol=atol,
                         dense_output=True)
         if not ivp.success:
-            raise NonConvergent("backward predictor failed: %s"
+            raise NonConvergent("backward integration failed: %s"
                                 % ivp.message)
-        return ivp.sol(t)[0]
-
-    def newton(q):
-        # improvement-gated corrector: the collocation residual of a
-        # well-predicted iterate sits at its roundoff floor, where the
-        # equilibrated system is flat along the decaying mode -- steps
-        # that do not clearly reduce the residual are noise and are
-        # rejected rather than accumulated
-        for _ in range(MAX_NEWTON):
-            J = sys.jacobian(q)
-            scale = np.max(np.abs(J), axis=1)
-            F = sys.residual(q)
-            nrm = float(np.max(np.abs(F / scale)))
-            if nrm < 64.0 * np.finfo(float).eps:
-                break
-            step = np.linalg.solve(J / scale[:, None], -F / scale)
-            s = 1.0
-            accepted = False
-            for _ in range(25):
-                cand = float(np.max(np.abs(
-                    sys.residual(q + s * step) / scale)))
-                if cand <= 0.7 * nrm:
-                    accepted = True
-                    break
-                s *= 0.5
-            if not accepted:
-                break
-            q = q + s * step
-            if float(np.max(np.abs(s * step))) < NEWTON_TOL:
-                break
-        return q
-
-    q = newton(predict())
+        q = ivp.sol(t)[0]
     if abs(q[-1] - psi_T) > MATCH_TOL:
         raise NonConvergent("boundary match |q - psi|(T) = %.3e"
                             % abs(q[-1] - psi_T))

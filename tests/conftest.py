@@ -14,7 +14,7 @@ def airy():
 
 @pytest.fixture(scope="session")
 def airy_sol(airy):
-    """Converged Airy BVP solution on [-2, 8]."""
+    """Airy q-equation solution on [-2, 8]."""
     return solve_q(airy, -2.0)
 
 

@@ -135,6 +135,14 @@ def test_tw_solve_residual_near_zero_tau_min(capsys):
     assert abs(float(data[1].split(",")[5])) <= 1e-8
 
 
+@pytest.mark.parametrize("tau_min", ["nan", "inf", "-inf"])
+def test_tw_solve_refuses_non_finite_tau_min(capsys, tau_min):
+    assert run(["tw-solve", "--tau-min=" + tau_min]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau_min must be finite")
+    assert "Traceback" not in err
+
+
 def test_det_refuses_negative_determinant(capsys):
     # det(I - K) at tau = -14 is below the LU's rounding floor and comes
     # out negative: a failed computation (exit 2), not a probability

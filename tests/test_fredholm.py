@@ -26,6 +26,10 @@ def test_interval_union_validation():
         IntervalUnion((1.0, 0.0))
     with pytest.raises(ValueError):
         IntervalUnion((math.inf, 2.0))
+    for e in ((0.0, math.nan), (math.nan, 1.0),
+              (0.0, math.nan, 2.0, math.inf)):
+        with pytest.raises(ValueError, match="NaN.*nan"):
+            IntervalUnion(e)
     iu = IntervalUnion((0.0, 1.0, 2.0, math.inf))
     assert iu.half_infinite
     assert iu.finite_endpoints == (0.0, 1.0, 2.0)

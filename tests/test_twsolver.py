@@ -59,6 +59,12 @@ def test_deep_tail_start(airy):
     assert dev <= 1e-8
 
 
+def test_solve_q_refuses_non_finite_tau_min(airy):
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tau_min.*%r" % t):
+            solve_q(airy, t)
+
+
 def test_zero_model_fixed_point():
     sol = solve_q(zero_model(), -1.0)
     assert sol.iterations == 1
@@ -74,6 +80,19 @@ def test_functional_routes_match_direct(airy, airy_sol):
         assert abs(det_via_alternative(airy_sol, tau) - Fd) < 1e-6
     with pytest.raises(ValueError):
         det_via_functional(airy_sol, -3.0)
+
+
+@pytest.mark.parametrize("tau_min", [-2.933567440982981, -5.4689729005071435])
+def test_functional_routes_match_direct_off_grid(airy, tau_min):
+    """Two tw_routes benchmark inputs (seeds 5 and 6) at which a
+    collocation Newton step, accepted on a 30% cut of the full-system
+    residual, moved log F by 1.4e-5 and 5.9e-6; the backward integration
+    alone is within 1e-8 of the Nystrom det."""
+    sol = solve_q(airy, tau_min)
+    for tau in (tau_min, tau_min + 2.0, tau_min + 4.0):
+        ref = math.log(gap_probability(airy, half_line(tau)))
+        for route in (det_via_functional, det_via_alternative):
+            assert abs(math.log(route(sol, tau)) - ref) <= 1e-7
 
 
 def test_tw_reduction_same_code_path(airy_sol):
@@ -191,3 +210,33 @@ def test_damped_resolvent_q_satisfies_closed_ode():
                                  - 4.0 * (q / p) * qp)
     assert abs(qpp - rhs) < 1e-6
 
+
+
+def test_scaled_airy_model_against_gauge_map(airy):
+    """psi = C Ai(a(xi + v0)), a = (gamma/u0_dot)^{2/3}, is the Airy
+    kernel up to a gauge: F([tau, inf)) is the gap of sqrt(kappa) Ai on
+    [a(tau + v0), inf) with kappa = C^2 (u0_dot/gamma)^{1/3}.  A q with a
+    small collocation residual must give F to 1e-6; q from the backward
+    integration alone, whose residual here is ~0.1, to 2e-2."""
+    g, ud, v0, C = 4.0, 1.0, 0.0, 1.0
+    a = (g / ud) ** (2.0 / 3.0)
+    rk = math.sqrt(C * C * (ud / g) ** (1.0 / 3.0))
+
+    def scaled_pair(x):
+        p, pp = airy.pair(a * (np.asarray(x, dtype=float) + v0))
+        return C * p, C * a * pp
+
+    def gauge_pair(x):
+        p, pp = airy.pair(x)
+        return rk * p, rk * pp
+
+    scaled = WaveModel(pair=scaled_pair, gamma=g, u0_dot=ud, v0=v0)
+    gauge = WaveModel(pair=gauge_pair)
+    for tau_min in (-7.5, -5.5, -4.0):
+        sol = solve_q(scaled, tau_min)
+        for tau in (tau_min, tau_min + 1.0, tau_min + 3.0):
+            ref = math.log(gap_probability(gauge, half_line(a * (tau + v0))))
+            for route in (det_via_functional, det_via_alternative):
+                err = abs(math.log(route(sol, tau)) - ref)
+                assert sol.residual_norm > 1e-8 or err <= 1e-6
+                assert err <= 2e-2

@@ -34,6 +34,9 @@ GOLDEN = (
     ("tw-solve", "--tau-min=-5.5", "--tau-range=-5.5:-1.5:3"),
     ("tw-solve", "--model", "zero", "--tau-min=-1", "--tau-range=-1:1:3"),
     ("verify", "--tau", "-1", "--N", "6"),
+    ("tw-solve", "--tau-min=-4.25", "--tau-range=-4.25:-0.25:3"),
+    ("tw-solve", "--tau-min=-0.3181287304817287",
+     "--tau-range=-0.3181287304817287:3.6818712695182713:3"),
 )
 THREADS = "1"
 
